@@ -19,6 +19,7 @@ from .config import (
     ExperimentConfig,
     config_hash,
     parse_config,
+    parse_int,
     serialize_config,
     with_overrides,
 )
@@ -66,11 +67,14 @@ def _emit_lines(lines: list[str], out: str | None) -> None:
 
 
 def _int_arg(value: str) -> int:
-    return int(float(value))
+    try:
+        return parse_int(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _checkpoint_list(value: str) -> tuple[int, ...]:
-    return tuple(int(float(v)) for v in value.split(",") if v.strip())
+    return tuple(_int_arg(v) for v in value.split(",") if v.strip())
 
 
 def cmd_field(args) -> int:

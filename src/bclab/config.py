@@ -9,6 +9,7 @@ formatted.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from .characters import DirichletChar, unit_group
@@ -18,6 +19,24 @@ from .automorphic import GalHeckeChar, base_change
 
 class ConfigError(ValueError):
     pass
+
+
+def parse_int(text: str) -> int:
+    """An integer written plainly ('10000000') or as a float ('1e7').
+
+    Raises ValueError for anything that is not a finite integral value.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or not value.is_integer():
+        raise ValueError(f"not a finite integer: {text!r}")
+    return int(value)
 
 
 _SCHEMA = {
@@ -32,8 +51,8 @@ _SCHEMA = {
     "pi_prime_modulus": (int, False),
     "pi_prime_exp": (int, True),
     "pi_prime_tau": (float, False),
-    "limit": (int, False),
-    "checkpoint": (int, True),
+    "limit": (parse_int, False),
+    "checkpoint": (parse_int, True),
     "out": (str, False),
     "csv": (str, False),
 }
@@ -120,9 +139,9 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             parsed = typ(value)
         except ValueError:
+            name = "int" if typ is parse_int else typ.__name__
             raise ConfigError(
-                f"line {lineno}: expected {typ.__name__} for {key}, "
-                f"got {value!r}"
+                f"line {lineno}: expected {name} for {key}, got {value!r}"
             ) from None
         if repeated:
             lists.setdefault(key, []).append(parsed)

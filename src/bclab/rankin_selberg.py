@@ -18,6 +18,7 @@ import numpy as np
 from .characters import DirichletChar, factorize, is_prime
 from .fields import AbelianField
 from .automorphic import GalHeckeChar, TWIST_TOL, bc_fiber
+from .pnt import sieve_primes
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,19 @@ class RsCoeffSource:
         self.excluded_primes = ramified_primes(pi, pi_prime)
         self._left = _fiber_residue_table(self.pair_set.fiber_left, self.modulus)
         self._right = _fiber_residue_table(self.pair_set.fiber_right, self.modulus)
-        self._left_k: dict[int, np.ndarray] = {}
-        self._right_k: dict[int, np.ndarray] = {}
+        self._products: dict[int, np.ndarray] = {}
 
-    def _tables(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k not in self._left_k:
-            self._left_k[k] = (self._left ** k).sum(axis=0)
-            self._right_k[k] = (self._right ** k).sum(axis=0)
-        return self._left_k[k], self._right_k[k]
+    def _product(self, k: int) -> np.ndarray:
+        """Residue table of (sum_i chi_i^k) * conj(sum_j psi_j^k)."""
+        table = self._products.get(k)
+        if table is None:
+            table = (self._left ** k).sum(axis=0) * \
+                np.conj((self._right ** k).sum(axis=0))
+            self._products[k] = table
+        return table
 
     def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:
-        left, right = self._tables(k)
-        r = np.mod(p, self.modulus)
-        vals = left[r] * np.conj(right[r])
+        vals = self._product(k)[np.mod(p, self.modulus)]
         if self.tau0:
             vals = vals * np.exp(1j * self.tau0 * k * np.log(p.astype(float)))
         return vals
@@ -160,8 +161,8 @@ def rs_coefficients(pi: GalHeckeChar, pi_prime: GalHeckeChar, limit: int
         raise ValueError(f"coefficient limit must be at least 2, got {limit}")
     source = RsCoeffSource(pi, pi_prime)
     coeffs: dict[int, complex] = {}
-    for p in range(2, limit + 1):
-        if not is_prime(p) or p in source.excluded_primes:
+    for p in sieve_primes(limit).tolist():
+        if p in source.excluded_primes:
             continue
         k = 1
         n = p
@@ -190,8 +191,8 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     bad = lcm(chi.conductor, xi.conductor,
               pi_q.conductor, pi_q_prime.conductor)
     excluded = {p for p, _ in factorize(bad)}
-    for p in range(2, limit + 1):
-        if not is_prime(p) or p in excluded:
+    for p in sieve_primes(limit).tolist():
+        if p in excluded:
             continue
         n = p
         while n <= limit:
@@ -218,8 +219,8 @@ def conjugation_swap_consistent(pi: GalHeckeChar, pi_prime: GalHeckeChar,
         return False
     if fwd.multiplicity and abs(fwd.tau0 + bwd.tau0) > TWIST_TOL:
         return False
-    ps = np.array([p for p in range(2, limit + 1)
-                   if is_prime(p) and p not in fwd.excluded_primes])
+    ps = np.array([p for p in sieve_primes(limit).tolist()
+                   if p not in fwd.excluded_primes], dtype=np.int64)
     for k in (1, 2, 3):
         if np.max(np.abs(fwd.coeff_at(ps, k) - np.conj(bwd.coeff_at(ps, k)))) > tol:
             return False

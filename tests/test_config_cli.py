@@ -47,6 +47,22 @@ def test_missing_equals_sign():
         parse_config("e_modulus = 5\ne_gen = 4\njunk line\n")
 
 
+def test_limit_and_checkpoints_accept_scientific_notation():
+    cfg = parse_config("limit = 1e7\ncheckpoint = 1e4\ncheckpoint = 100000\n")
+    assert cfg.limit == 10_000_000 and type(cfg.limit) is int
+    assert cfg.checkpoints == (10_000, 100_000)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "2.5",
+                                   "ten"])
+def test_limit_rejects_non_finite_or_fractional(value):
+    with pytest.raises(ConfigError, match="line 2: expected int for limit"):
+        parse_config(f"e_modulus = 5\nlimit = {value}\n")
+    with pytest.raises(ConfigError, match="line 1: expected int for checkpoint"):
+        parse_config(f"checkpoint = {value}\n")
+
+
 def test_duplicate_scalar_key():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("limit = 5\nlimit = 6\n")
@@ -178,6 +194,27 @@ def test_usage_error_exit_code(capsys):
     assert main(["bogus"]) == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--limit", "inf"), ("--limit", "nan"), ("--limit", "1e400"),
+    ("--limit", "2.5"), ("--checkpoints", "1000,inf"),
+    ("--checkpoints", "1000,2.5"),
+])
+def test_pnt_rejects_non_finite_or_fractional(flag, value, capsys):
+    assert main(["pnt", "--config", str(THM11), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bclab: usage error:") and "Traceback" not in err
+
+
+def test_pnt_config_limit_in_scientific_notation(tmp_path, capsys):
+    cfg = tmp_path / "sci.cfg"
+    cfg.write_text(THM11.read_text().replace("limit = 10000000",
+                                             "limit = 2e4\ncheckpoint = 1e4"))
+    assert main(["pnt", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["limit"] == 20_000
+    assert report["checkpoints"] == [10_000, 20_000]
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("e_modulus = 5\nwhat = 1\n")
@@ -209,8 +246,11 @@ def test_verify_quick_passes(capsys):
 
 
 def test_threads_env_honored(monkeypatch):
+    import os
+
     from bclab.pnt import _resolve_workers
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the env is clamped to it
     monkeypatch.setenv("BCLAB_THREADS", "2")
     assert _resolve_workers(None) == 2
     monkeypatch.delenv("BCLAB_THREADS")

@@ -1,6 +1,9 @@
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bclab.characters import DirichletChar, trivial_char, unit_group
 from bclab.fields import make_field
@@ -9,6 +12,7 @@ from bclab.rankin_selberg import RsCoeffSource, rs_coefficients
 from bclab.pnt import (
     DirichletSource,
     PrimePowerStream,
+    _resolve_workers,
     decay_check,
     default_checkpoints,
     predicted_main_term,
@@ -40,6 +44,52 @@ def test_segmented_blocks_cover_all_primes():
     assert collected == [p for p in range(2, 10_001) if is_prime_slow(p)]
 
 
+SIEVE_LIMIT = 100_000
+WHEEL_SPAN = 2 * 15015  # integers per period of the odd-only wheel pattern
+
+
+def expected_primes(lo, hi):
+    ref = sieve_primes(hi - 1)
+    return ref[ref >= lo].tolist()
+
+
+def test_primes_in_low_edges_exhaustive():
+    stream = PrimePowerStream(200)
+    for lo in range(18):
+        for hi in range(lo, 120):
+            got = stream.primes_in(lo, hi)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected_primes(lo, hi), (lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 17), st.integers(0, SIEVE_LIMIT)),
+       st.one_of(st.integers(0, 40), st.integers(0, WHEEL_SPAN),
+                 st.integers(0, 3 * WHEEL_SPAN)))
+def test_primes_in_matches_sieve(lo, width):
+    hi = min(lo + width, SIEVE_LIMIT + 1)
+    got = PrimePowerStream(SIEVE_LIMIT).primes_in(lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected_primes(lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5_000), st.lists(st.integers(2, 5_000), max_size=4))
+def test_chunk7_stream_blocks_concatenate_to_sieve(limit, breakpoints):
+    stream = PrimePowerStream(limit, chunk=7)
+    edges = stream.block_edges(breakpoints)
+    blocks = [stream.primes_in(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert np.concatenate(blocks).tolist() == sieve_primes(limit).tolist()
+
+
+def test_primes_in_rejects_window_past_limit():
+    # base primes stop at isqrt(limit), so 17^2 = 289 would pass as prime
+    with pytest.raises(ValueError, match="past limit"):
+        PrimePowerStream(100).primes_in(250, 300)
+    assert PrimePowerStream(100).primes_in(90, 101).tolist() == [97]
+
+
 def test_higher_powers_complete_and_unique():
     stream = PrimePowerStream(3_000)
     powers = stream.higher_powers()
@@ -55,6 +105,28 @@ def test_higher_powers_complete_and_unique():
 def test_stream_validates_limit():
     with pytest.raises(ValueError):
         PrimePowerStream(1)
+
+
+# ------------------------------------------------------------------- workers
+
+def test_resolve_workers_clamps_env_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("BCLAB_THREADS", "64")
+    assert _resolve_workers(None) == 2
+    monkeypatch.setenv("BCLAB_THREADS", " 1 ")
+    assert _resolve_workers(None) == 1
+    monkeypatch.setenv("BCLAB_THREADS", "0")
+    assert _resolve_workers(None) == 1
+    monkeypatch.delenv("BCLAB_THREADS")
+    assert _resolve_workers(None) == 2
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "inf"])
+def test_resolve_workers_rejects_non_integer_env(monkeypatch, value):
+    monkeypatch.setenv("BCLAB_THREADS", value)
+    with pytest.raises(ValueError, match="BCLAB_THREADS"):
+        _resolve_workers(None)
+    assert _resolve_workers(3) == 3  # an explicit count ignores the env
 
 
 # ------------------------------------------------------------------ psi sums
