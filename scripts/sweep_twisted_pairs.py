@@ -20,7 +20,7 @@ def main():
                     help="largest field conductor to include")
     ap.add_argument("--cross-check-all", action="store_true",
                     help="run the tower-coordinate check on every "
-                         "intersecting pair (slow)")
+                         "intersecting pair")
     args = ap.parse_args()
 
     start = time.perf_counter()

@@ -26,7 +26,7 @@ from .characters import (
     extensions,
     restrict_char,
 )
-from .fields import AbelianField
+from .fields import AbelianField, order_mod_subgroup
 
 TWIST_TOL = 1e-12
 
@@ -173,15 +173,7 @@ def automorphic_induction(pi: GalHeckeChar) -> IsobaricSum:
 
 def frobenius_degree(pi: GalHeckeChar, p: int) -> int:
     """Order of p in Gal(E/Q); requires p coprime to the ambient modulus."""
-    m = pi.field.modulus
-    h = pi.field.subgroup
-    x = p % m
-    cur = x
-    k = 1
-    while cur not in h:
-        cur = cur * x % m
-        k += 1
-    return k
+    return order_mod_subgroup(pi.field.modulus, pi.field.subgroup, p)
 
 
 def coeff_data_over_e(pi: GalHeckeChar, p: int, j: int

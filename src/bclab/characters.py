@@ -172,13 +172,17 @@ class DirichletChar:
         self._angle_cache = {}
 
     # -- value on honest units of the ambient modulus -----------------------
-    def group_angle(self, u: int) -> Fraction:
+    def group_exponent(self, u: int) -> int:
+        """Exponent a in [0, N) with chi(u) = zeta_N^a, N the group exponent."""
         vec = self.group.dlog(u)
         n = self.group.exponent
         total = 0
         for e, x, (_, o) in zip(self.exponents, vec, self.group.generators):
             total += e * x * (n // o)
-        return Fraction(total % n, n)
+        return total % n
+
+    def group_angle(self, u: int) -> Fraction:
+        return Fraction(self.group_exponent(u), self.group.exponent)
 
     @property
     def modulus(self) -> int:
@@ -190,7 +194,7 @@ class DirichletChar:
             m = self.group.modulus
             cond = m
             for f in divisors(m):
-                if all(self.group_angle(u) == 0
+                if all(self.group_exponent(u) == 0
                        for u in self.group.units if u % f == 1 % f):
                     cond = f
                     break
@@ -327,30 +331,59 @@ def dual_group(group: UnitGroup) -> list[DirichletChar]:
 def closure(group: UnitGroup, elements) -> frozenset[int]:
     """Subgroup of (Z/MZ)^x generated by the given units."""
     m = group.modulus
+    elements = list(elements)
     for u in elements:
         if not group.is_unit(u):
             raise ValueError(f"{u} is not a unit modulo {m}")
-    seen = {1 % m}
-    frontier = [1 % m]
-    gens = [u % m for u in elements]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g % m
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+    sub = frozenset({1 % m})
+    for u in elements:
+        if u % m not in sub:
+            sub = _join(group, sub, u % m)
+    return sub
+
+
+def _join(group: UnitGroup, subgroup: frozenset[int], x: int) -> frozenset[int]:
+    """<H, x> for a subgroup H and a unit x, as the union of the cosets H*x^k.
+
+    The cosets are walked until x^k falls back into H, so the cost is
+    O(|<H, x>|).
+    """
+    m = group.modulus
+    out = set(subgroup)
+    step = x % m
+    cur = step
+    while cur not in subgroup:
+        out.update(h * cur % m for h in subgroup)
+        cur = cur * step % m
+    return frozenset(out)
 
 
 def _subgroup_generators(group: UnitGroup, elements: frozenset[int]) -> list[int]:
     gens: list[int] = []
-    have = {1 % group.modulus}
+    have = frozenset({1 % group.modulus})
     for h in sorted(elements):
         if h not in have:
             gens.append(h)
-            have = set(closure(group, gens))
+            have = _join(group, have, h)
     return gens
+
+
+@lru_cache(maxsize=None)
+def _restriction_classes(group: UnitGroup, elements: frozenset[int]
+                         ) -> tuple[tuple[int, ...], dict]:
+    """Generators of H, and the dual group bucketed by restriction to H.
+
+    A character of H is fixed by its values on the generators, so the bucket
+    key is the tuple of group exponents there.  Buckets, and the characters
+    inside each, keep the dual group's enumeration order.  Callers must not
+    mutate the cached buckets.
+    """
+    gens = tuple(_subgroup_generators(group, elements))
+    classes: dict[tuple[int, ...], list[DirichletChar]] = {}
+    for chi in _dual_cache(group):
+        key = tuple(chi.group_exponent(h) for h in gens)
+        classes.setdefault(key, []).append(chi)
+    return gens, classes
 
 
 class SubgroupChar:
@@ -454,16 +487,20 @@ def extensions(omega: SubgroupChar, group: UnitGroup) -> list[DirichletChar]:
     """All characters of the full group restricting to omega on H.
 
     There are exactly [G:H] of them: one particular extension multiplied by
-    every character trivial on H.  They are found by scanning the dual group,
-    which is cheap at the desk-scale moduli this library targets.
+    every character trivial on H.  They are the bucket of the dual group
+    whose values on H's generators are omega's, looked up in the cached
+    restriction classes of H; a value of omega that is no power of zeta_N
+    (N the group exponent) has no extension at all.
     """
     if omega.group != group:
         raise ValueError(
             f"omega lives mod {omega.group.modulus}, group is mod {group.modulus}"
         )
-    gens = _subgroup_generators(group, omega.elements)
-    found = [chi for chi in dual_group(group)
-             if all(chi.group_angle(h) == omega.angle(h) for h in gens)]
+    gens, classes = _restriction_classes(group, omega.elements)
+    target = [omega.angle(h) * group.exponent for h in gens]
+    found = []
+    if all(a.denominator == 1 for a in target):
+        found = list(classes.get(tuple(a.numerator for a in target), ()))
     index = group.order // len(omega.elements)
     if len(found) != index:
         raise ArithmeticError(
@@ -475,28 +512,33 @@ def extensions(omega: SubgroupChar, group: UnitGroup) -> list[DirichletChar]:
 def subgroup_characters(group: UnitGroup, elements) -> list[SubgroupChar]:
     """All |H| characters of the subgroup H, via restriction from the dual."""
     sub = closure(group, elements)
-    seen: dict[tuple, SubgroupChar] = {}
-    for chi in dual_group(group):
-        omega = SubgroupChar(group, {u: chi.group_angle(u) for u in sub},
-                             check=False)
-        seen.setdefault(omega.key, omega)
-    out = list(seen.values())
+    _, classes = _restriction_classes(group, sub)
+    n = group.exponent
+    angles = [Fraction(a, n) for a in range(n)]
+    out = [SubgroupChar(group, {u: angles[bucket[0].group_exponent(u)]
+                                for u in sub}, check=False)
+           for bucket in classes.values()]
     if len(out) != len(sub):
         raise ArithmeticError("dual of subgroup has the wrong size")
     return out
 
 
 def all_subgroups(group: UnitGroup) -> list[frozenset[int]]:
-    """Every subgroup of (Z/MZ)^x, found by closure growth."""
-    one = frozenset({1 % group.modulus})
+    """Every subgroup of (Z/MZ)^x, found by joining one unit at a time."""
+    m = group.modulus
+    one = frozenset({1 % m})
     found = {one}
     frontier = [one]
     while frontier:
         base = frontier.pop()
+        covered = set(base)
         for u in group.units:
-            if u not in base:
-                bigger = closure(group, list(base) + [u])
-                if bigger not in found:
-                    found.add(bigger)
-                    frontier.append(bigger)
+            if u in covered:
+                continue
+            # Every unit of the coset base*u joins base to the same group.
+            covered.update(h * u % m for h in base)
+            bigger = _join(group, base, u)
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))

@@ -124,16 +124,16 @@ def cmd_bc(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    from .characters import is_prime
     from .automorphic import (automorphic_induction, local_coeffs_over_e,
                               local_coeffs_over_q)
+    from .pnt import sieve_primes
 
     cfg = _load_config(args.config)
     pi = cfg.pi() if args.which == "pi" else cfg.pi_prime()
     limit = args.limit
     rows = []
-    for p in range(2, limit + 1):
-        if not is_prime(p) or pi.field.modulus % p == 0:
+    for p in sieve_primes(limit).tolist():
+        if pi.field.modulus % p == 0:
             continue
         k_max = 0
         n = p

@@ -12,8 +12,10 @@ import json
 from dataclasses import dataclass
 from math import lcm
 
-from .characters import UnitGroup, unit_group, closure, factorize, is_prime
+from .characters import (UnitGroup, _join, closure, factorize, is_prime,
+                         unit_group)
 from .cyclotomic import divisors
+from .pnt import sieve_primes
 
 
 class AbelianField:
@@ -112,6 +114,10 @@ def splitting_data(field: AbelianField, p: int) -> SplittingData:
     """Residue degree and prime count of p in E, from congruence data."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _splitting(field, p)
+
+
+def _splitting(field: AbelianField, p: int) -> SplittingData:
     f_cond = field.conductor
     if f_cond % p == 0:
         # Ramified: split off the p-part of the conductor and read the
@@ -123,22 +129,21 @@ def splitting_data(field: AbelianField, p: int) -> SplittingData:
         h_away = closure(g_away, [u % cond_away
                                   for u in field.primitive_subgroup()
                                   if g_away.is_unit(u % cond_away)])
-        unram = AbelianField(g_away, h_away)
-        f_p = _frobenius_order(unram, p)
-        g_p = unram.degree // f_p
+        f_p = order_mod_subgroup(cond_away, h_away, p)
+        g_p = g_away.order // len(h_away) // f_p
         return SplittingData(p, f_p, g_p, True)
-    prim = AbelianField(unit_group(f_cond), field.primitive_subgroup())
-    f_p = _frobenius_order(prim, p)
+    f_p = order_mod_subgroup(f_cond, field.primitive_subgroup(), p)
     return SplittingData(p, f_p, field.degree // f_p, False)
 
 
-def _frobenius_order(field: AbelianField, p: int) -> int:
-    m = field.modulus
-    h = field.subgroup
-    x = p % m
+def order_mod_subgroup(m: int, subgroup: frozenset[int], x: int) -> int:
+    """Least k >= 1 with x^k in the subgroup H of (Z/mZ)^x: the order of x
+    in the quotient by H, which for a prime x is its Frobenius order in
+    Gal(E/Q).  x must be coprime to m."""
+    x %= m
     k = 1
     cur = x
-    while cur not in h:
+    while cur not in subgroup:
         cur = cur * x % m
         k += 1
     return k
@@ -168,32 +173,22 @@ def tower(field: AbelianField) -> list[AbelianField]:
     deterministic.
     """
     group = field.ambient
-    m = group.modulus
     chain: list[AbelianField] = []
     current = field.subgroup
     while len(current) < group.order:
         index = group.order // len(current)
         q = max(p for p, _ in factorize(index))
-        candidates = []
+        candidates: list[frozenset[int]] = []
         for x in group.units:
-            if x in current:
+            # x in an index-q overgroup C of H joins H to C itself.
+            if x in current or any(x in c for c in candidates):
                 continue
-            if _coset_order(group, current, x) == q:
-                candidates.append(closure(group, list(current) + [x]))
-        step = min(set(candidates), key=lambda s: tuple(sorted(s)))
+            if order_mod_subgroup(group.modulus, current, x) == q:
+                candidates.append(_join(group, current, x))
+        step = min(candidates, key=lambda s: tuple(sorted(s)))
         chain.append(AbelianField(group, step))
         current = step
     return chain
-
-
-def _coset_order(group: UnitGroup, subgroup: frozenset[int], x: int) -> int:
-    m = group.modulus
-    cur = x % m
-    k = 1
-    while cur not in subgroup:
-        cur = cur * x % m
-        k += 1
-    return k
 
 
 def tower_step_degrees(field: AbelianField) -> list[int]:
@@ -207,7 +202,7 @@ def tower_step_degrees(field: AbelianField) -> list[int]:
 
 
 def splitting_table(field: AbelianField, p_max: int) -> list[SplittingData]:
-    return [splitting_data(field, p) for p in range(2, p_max + 1) if is_prime(p)]
+    return [_splitting(field, p) for p in sieve_primes(p_max).tolist()]
 
 
 def fields_up_to_conductor(bound: int) -> list[AbelianField]:

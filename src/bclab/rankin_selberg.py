@@ -221,6 +221,8 @@ def conjugation_swap_consistent(pi: GalHeckeChar, pi_prime: GalHeckeChar,
         return False
     ps = np.array([p for p in sieve_primes(limit).tolist()
                    if p not in fwd.excluded_primes], dtype=np.int64)
+    if not ps.size:
+        raise ValueError(f"no unramified prime up to limit {limit}")
     for k in (1, 2, 3):
         if np.max(np.abs(fwd.coeff_at(ps, k) - np.conj(bwd.coeff_at(ps, k)))) > tol:
             return False

@@ -159,11 +159,6 @@ def noncuspidal_orbit(l: int, s: int, r: int, i0: int, j0: int
 # ---------------------------------------------------------------------------
 # Bridge from structural fibers to tower coordinates.
 
-def _char_power(chi, k: int):
-    from .characters import DirichletChar
-    return DirichletChar(chi.group, [e * k for e in chi.exponents])
-
-
 def fiber_tower_labels(pi):
     """Tower-exponent labels of the base-change fiber of pi.
 
@@ -171,54 +166,59 @@ def fiber_tower_labels(pi):
     i-th fiber character relative to the fiber base.  The coordinates follow
     the annihilator filtration of the field's tower; at each step the basis
     character is chosen with prime-power order matching the step so that the
-    labeling is deterministic.  Raises for a degree-1 field, which has no
-    tower coordinates.
+    labeling is deterministic.  All characters involved live on the field's
+    ambient group, so they are handled as exponent vectors modulo the
+    generator orders: each annihilator is the all-zero restriction class of
+    its subgroup, and the labels are solved step by step in that vector
+    group.  Raises for a degree-1 field, which has no tower coordinates.
     """
     from .automorphic import bc_fiber
-    from .characters import dual_group
+    from .characters import _restriction_classes
     from .fields import tower
 
     field = pi.field
     if field.degree == 1:
         raise ValueError("the fiber over Q is a single point; no tower labels")
     group = field.ambient
+    orders = [o for _, o in group.generators]
+
+    def combine(a, b, k=1):
+        return tuple((x + k * y) % o for x, y, o in zip(a, b, orders))
+
     chain = [field.subgroup] + [f.subgroup for f in tower(field)]
     degrees = [len(chain[a + 1]) // len(chain[a]) for a in range(len(chain) - 1)]
-    duals = dual_group(group)
-    ann_keys: list[set] = []
-    ann_chars: list[list] = []
+    ann_chars = []
     for sub in chain:
-        gens = sorted(sub)
-        chars = [chi for chi in duals
-                 if all(chi.group_angle(h) == 0 for h in gens)]
-        ann_chars.append(chars)
-        ann_keys.append({chi.key for chi in chars})
+        gens, classes = _restriction_classes(group, sub)
+        ann_chars.append(classes[(0,) * len(gens)])
+    ann_sets = [{chi.exponents for chi in chars} for chars in ann_chars]
     basis = []
     for a, step in enumerate(degrees):
         cand = next(chi for chi in ann_chars[a]
-                    if chi.key not in ann_keys[a + 1])
+                    if chi.exponents not in ann_sets[a + 1])
         rest = cand.order
         while rest % step == 0:
             rest //= step
-        basis.append(_char_power(cand, rest))
+        basis.append(tuple(e * rest % o
+                           for e, o in zip(cand.exponents, orders)))
     fg = fiber_group(degrees, label=f"fiber over field cond {field.conductor}")
 
     fiber = bc_fiber(pi)
-    base = fiber[0][0]
+    base = fiber[0][0].exponents
     labels = {}
     for i, (chi, _) in enumerate(fiber):
-        delta = chi * base.conjugate()
+        delta = combine(chi.exponents, base, -1)
         vec = []
         for a, step in enumerate(degrees):
             for t in range(step):
-                probe = delta * _char_power(basis[a], -t)
-                if probe.key in ann_keys[a + 1]:
+                probe = combine(delta, basis[a], -t)
+                if probe in ann_sets[a + 1]:
                     vec.append(t)
                     delta = probe
                     break
             else:
                 raise ArithmeticError("triangular label solve failed")
-        if not delta.is_trivial:
+        if any(delta):
             raise ArithmeticError("label residue did not terminate at 1")
         labels[i] = tuple(vec)
     return fg, labels

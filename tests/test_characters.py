@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import (
     DirichletChar,
     SubgroupChar,
+    _subgroup_generators,
     all_subgroups,
     closure,
     dual_group,
@@ -15,6 +16,13 @@ from bclab.characters import (
     subgroup_characters,
     trivial_char,
     unit_group,
+)
+from oracles import (
+    all_subgroups_oracle,
+    closure_bfs,
+    extensions_oracle,
+    subgroup_characters_oracle,
+    subgroup_generators_oracle,
 )
 
 
@@ -321,3 +329,51 @@ def test_closure_helper():
     assert sub == frozenset({1, 3, 9, 7})
     with pytest.raises(ValueError):
         closure(g, [5])
+
+
+def test_extensions_match_dual_scan_oracle():
+    # every character of every subgroup, all moduli up to 40: same
+    # characters in the same order as a scan comparing angles on all of H
+    for m in range(1, 41):
+        g = unit_group(m)
+        for sub in all_subgroups(g):
+            omegas = subgroup_characters(g, sub)
+            assert [o.key for o in omegas] == \
+                [o.key for o in subgroup_characters_oracle(g, sub)]
+            for omega in omegas:
+                assert [c.exponents for c in extensions(omega, g)] == \
+                    [c.exponents for c in extensions_oracle(omega, g)]
+
+
+def test_extensions_reject_values_outside_the_group_exponent():
+    # exponent of (Z/5Z)^x is 4, so a value of angle 1/3 extends nowhere
+    g = unit_group(5)
+    omega = SubgroupChar(g, {1: Fraction(0), 4: Fraction(1, 3)}, check=False)
+    with pytest.raises(ArithmeticError, match="expected 2 extensions, found 0"):
+        extensions(omega, g)
+
+
+def test_extensions_return_a_fresh_list():
+    g = unit_group(5)
+    omega = restrict_char(trivial_char(5), [1, 4])
+    extensions(omega, g).clear()
+    assert len(extensions(omega, g)) == 2
+
+
+def test_subgroups_and_generators_match_closure_growth():
+    for m in range(1, 49):
+        g = unit_group(m)
+        subs = all_subgroups(g)
+        assert subs == all_subgroups_oracle(g)
+        for sub in subs:
+            gens = _subgroup_generators(g, sub)
+            assert gens == subgroup_generators_oracle(g, sub)
+            assert closure(g, gens) == sub
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=120), st.data())
+def test_closure_matches_breadth_first_growth(m, data):
+    g = unit_group(m)
+    elements = data.draw(st.lists(st.sampled_from(g.units), max_size=4))
+    assert closure(g, elements) == closure_bfs(m, elements)

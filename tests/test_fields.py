@@ -13,6 +13,7 @@ from bclab.fields import (
     tower,
     tower_step_degrees,
 )
+from oracles import tower_oracle
 
 
 def test_quadratic_field_mod_5():
@@ -171,6 +172,22 @@ def test_tower_invariants(m, data):
         assert chain[-1].degree == 1
         for bigger, smaller in zip([field] + chain, chain):
             assert bigger.subgroup <= smaller.subgroup
+
+
+def test_splitting_table_matches_splitting_data():
+    # fields at their conductor and at redundant moduli, ramified primes too
+    primes = [p for p in range(2, 201) if is_prime(p)]
+    fields = fields_up_to_conductor(24) + [make_field(20, [9, 11]),
+                                           make_field(60, [7, 11])]
+    for field in fields:
+        rows = splitting_table(field, 200)
+        assert rows == [splitting_data(field, p) for p in primes]
+        assert any(r.ramified for r in rows) == (field.conductor > 1)
+
+
+def test_tower_matches_coset_order_oracle():
+    for field in fields_up_to_conductor(36):
+        assert [sub.subgroup for sub in tower(field)] == tower_oracle(field)
 
 
 def test_splitting_table_runs():

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bclab.characters import DirichletChar, trivial_char, unit_group
+from bclab.config import parse_config
 from bclab.fields import make_field
 from bclab.automorphic import base_change, trivial_over
 from bclab.rankin_selberg import (
@@ -16,6 +19,8 @@ from bclab.rankin_selberg import (
     twist_absorption_check,
     twisted_pairs,
 )
+
+THM11 = Path(__file__).resolve().parent.parent / "configs" / "thm11.cfg"
 
 
 def sqrt5():
@@ -127,6 +132,16 @@ def test_conjugation_symmetry():
     pi = base_change(theta(), sqrt5(), tau=0.3)
     pi_prime = trivial_over(gaussian(), tau=0.1)
     assert conjugation_swap_consistent(pi, pi_prime)
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_conjugation_swap_rejects_limit_without_unramified_prime(limit):
+    # Q(sqrt 5) against Q(i): pair modulus 20, so 2 is ramified
+    cfg = parse_config(THM11.read_text())
+    pi, pi_prime = cfg.pi(), cfg.pi_prime()
+    with pytest.raises(ValueError, match=f"limit {limit}"):
+        conjugation_swap_consistent(pi, pi_prime, limit=limit)
+    assert conjugation_swap_consistent(pi, pi_prime, limit=3)
 
 
 def test_source_tau_factor():

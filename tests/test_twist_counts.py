@@ -3,9 +3,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bclab.characters import DirichletChar, unit_group
-from bclab.fields import make_field
-from bclab.automorphic import base_change, trivial_over
+from bclab.characters import DirichletChar, subgroup_characters, unit_group
+from bclab.fields import fields_up_to_conductor, make_field
+from bclab.automorphic import GalHeckeChar, base_change, trivial_over
 from bclab.twist_counts import (
     FiberGroup,
     TwistPairingError,
@@ -16,6 +16,7 @@ from bclab.twist_counts import (
     noncuspidal_orbit,
     pair_subgroup,
 )
+from oracles import extensions_oracle, fiber_tower_labels_oracle
 
 
 # ----------------------------------------------------------------- the groups
@@ -169,6 +170,18 @@ def test_labels_enumerate_the_full_fiber():
 def test_labels_rejected_over_rationals():
     with pytest.raises(ValueError):
         fiber_tower_labels(trivial_over(make_field(1, [])))
+
+
+def test_labels_match_structural_key_oracle():
+    # every character over every field of conductor <= 36 but Q
+    for field in fields_up_to_conductor(36):
+        if field.degree == 1:
+            continue
+        for omega in subgroup_characters(field.ambient, field.subgroup):
+            pi = GalHeckeChar(field, omega)
+            fiber = extensions_oracle(omega, field.ambient)
+            fg, labels = fiber_tower_labels(pi)
+            assert (fg.orders, labels) == fiber_tower_labels_oracle(pi, fiber)
 
 
 def test_cross_check_on_named_configurations():
