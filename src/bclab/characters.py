@@ -1,12 +1,18 @@
 """Exact structure of (Z/MZ)^x and its finite-order characters.
 
-The unit group is presented by an explicit generator list with a full
-discrete-log table, so every character is an integer exponent vector and
-every character value is an exact root of unity (a rational angle), never a
-float.  Characters compare equal exactly when they induce the same primitive
-character; the ambient modulus is bookkeeping only.
+The unit group is presented in CRT form: (Z/MZ)^x is the product of the
+local groups (Z/p^eZ)^x over the prime powers p^e || M, each with explicit
+generators and a small discrete-log table of its own, cached per prime
+power.  A discrete log mod M joins the local ones and is memoized, so a
+group at a large modulus costs only the residues actually asked about.
+Every character is an integer exponent vector and every character value is
+an exact root of unity: an integer exponent of zeta_N (a rational angle
+at the public boundary), never a float.  Characters compare equal exactly
+when they induce the same primitive character; the ambient modulus is
+bookkeeping only.
 
-All objects here are immutable after construction and safe to share.
+All objects here are immutable after construction, apart from their caches,
+and safe to share.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from typing import NamedTuple
 
-from .cyclotomic import divisors, normalize_angle, angle_to_complex
+from .cyclotomic import normalize_angle, angle_to_complex
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -77,55 +84,114 @@ def _crt_lift(residue: int, q: int, modulus: int) -> int:
     return x % modulus
 
 
-class UnitGroup:
-    """(Z/MZ)^x presented as a direct product of explicit cyclic factors."""
+class _LocalGroup(NamedTuple):
+    """(Z/qZ)^x for q = p^e: generators as (residue mod q, order), the
+    group exponent, and the discrete log of every unit mod q."""
 
-    __slots__ = ("modulus", "generators", "exponent", "dlog_table", "units")
+    p: int
+    e: int
+    q: int
+    generators: tuple[tuple[int, int], ...]
+    exponent: int
+    dlog_table: dict[int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _local_group(p: int, e: int) -> _LocalGroup:
+    q = p ** e
+    if p != 2:
+        gens = ((_primitive_root(q, p), (p - 1) * p ** (e - 1)),)
+    elif e == 1:
+        gens = ()
+    elif e == 2:
+        gens = ((3, 2),)
+    else:
+        # (Z/2^e)^x is not cyclic: use -1 of order 2 and 5.
+        gens = ((q - 1, 2), (5, 2 ** (e - 2)))
+    table: dict[int, tuple[int, ...]] = {}
+    for vec in iter_product(*[range(o) for _, o in gens]):
+        u = 1
+        for (g, _), k in zip(gens, vec):
+            u = u * pow(g, k, q) % q
+        table[u] = vec
+    if len(table) != euler_phi(q):
+        raise ArithmeticError(
+            f"generator set mod {q} does not span the unit group"
+        )
+    return _LocalGroup(p, e, q, gens, lcm(*[o for _, o in gens]), table)
+
+
+@lru_cache(maxsize=None)
+def _local_conductor(p: int, e: int, exponents: tuple[int, ...]) -> int:
+    """Conductor p^c of the character of (Z/p^eZ)^x with these exponents:
+    the least c for which it is trivial on every unit = 1 mod p^c."""
+    local = _local_group(p, e)
+    n = local.exponent
+    weights = [x * (n // o) for x, (_, o) in zip(exponents, local.generators)]
+    for c in range(e):
+        f = p ** c
+        if all(sum(w * k for w, k in zip(weights, vec)) % n == 0
+               for u, vec in local.dlog_table.items() if u % f == 1 % f):
+            return f
+    return local.q
+
+
+class UnitGroup:
+    """(Z/MZ)^x presented as a direct product of explicit cyclic factors.
+
+    The generators are the local generators of each (Z/p^eZ)^x, CRT-lifted
+    to be 1 at the other prime powers, so a discrete log mod M is the
+    concatenation of the local ones.  `units` and `dlog_table` are views
+    built on first use.
+    """
+
+    __slots__ = ("modulus", "generators", "exponent", "order", "_locals",
+                 "_dlog", "_units", "_table")
 
     def __init__(self, modulus: int):
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         self.modulus = modulus
-        gens: list[tuple[int, int]] = []
-        for p, e in factorize(modulus):
-            q = p ** e
-            if p == 2:
-                if e == 2:
-                    gens.append((_crt_lift(3, 4, modulus), 2))
-                elif e >= 3:
-                    # (Z/2^e)^x is not cyclic: use -1 of order 2 and 5.
-                    gens.append((_crt_lift(q - 1, q, modulus), 2))
-                    gens.append((_crt_lift(5, q, modulus), 2 ** (e - 2)))
-            else:
-                gens.append((_crt_lift(_primitive_root(q, p), q, modulus),
-                             euler_phi(q)))
-        self.generators = tuple(gens)
-        self.exponent = lcm(*[o for _, o in gens]) if gens else 1
-        table: dict[int, tuple[int, ...]] = {}
-        for vec in iter_product(*[range(o) for _, o in gens]):
-            u = 1 % modulus
-            for (g, _), k in zip(gens, vec):
-                u = u * pow(g, k, modulus) % modulus
-            table[u] = vec
-        if len(table) != euler_phi(modulus):
-            raise ArithmeticError(
-                f"generator set mod {modulus} does not span the unit group"
-            )
-        self.dlog_table = table
-        self.units = tuple(sorted(table))
-
-    @property
-    def order(self) -> int:
-        return len(self.dlog_table)
+        self._locals = tuple(_local_group(p, e) for p, e in factorize(modulus))
+        self.generators = tuple((_crt_lift(g, local.q, modulus), o)
+                                for local in self._locals
+                                for g, o in local.generators)
+        self.exponent = lcm(*[o for _, o in self.generators])
+        self.order = prod(len(local.dlog_table) for local in self._locals)
+        self._dlog: dict[int, tuple[int, ...]] = {}
+        self._units = None
+        self._table = None
 
     def dlog(self, u: int) -> tuple[int, ...]:
         r = u % self.modulus
-        if r not in self.dlog_table:
-            raise ValueError(f"{u} is not a unit modulo {self.modulus}")
-        return self.dlog_table[r]
+        vec = self._dlog.get(r)
+        if vec is None:
+            vec = ()
+            for local in self._locals:
+                part = local.dlog_table.get(r % local.q)
+                if part is None:
+                    raise ValueError(f"{u} is not a unit modulo {self.modulus}")
+                vec += part
+            self._dlog[r] = vec
+        return vec
 
     def is_unit(self, u: int) -> bool:
-        return u % self.modulus in self.dlog_table
+        return gcd(u, self.modulus) == 1
+
+    @property
+    def units(self) -> tuple[int, ...]:
+        """The residues in [0, M) coprime to M, ascending."""
+        if self._units is None:
+            m = self.modulus
+            self._units = tuple(u for u in range(m) if gcd(u, m) == 1)
+        return self._units
+
+    @property
+    def dlog_table(self) -> dict[int, tuple[int, ...]]:
+        """Discrete log of every unit, keyed by residue."""
+        if self._table is None:
+            self._table = {u: self.dlog(u) for u in self.units}
+        return self._table
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnitGroup) and other.modulus == self.modulus
@@ -135,6 +201,12 @@ class UnitGroup:
 
     def __repr__(self) -> str:
         return f"UnitGroup({self.modulus})"
+
+
+@lru_cache(maxsize=None)
+def _angle(a: int, n: int) -> Fraction:
+    """The angle a/n, shared: Fractions are immutable."""
+    return Fraction(a, n)
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +225,7 @@ class DirichletChar:
     """
 
     __slots__ = ("group", "exponents", "_conductor", "_primitive", "_key",
-                 "_angle_cache")
+                 "_value_cache")
 
     def __init__(self, group: UnitGroup, exponents):
         exponents = tuple(int(e) for e in exponents)
@@ -169,7 +241,7 @@ class DirichletChar:
         self._conductor = None
         self._primitive = None
         self._key = None
-        self._angle_cache = {}
+        self._value_cache = {}
 
     # -- value on honest units of the ambient modulus -----------------------
     def group_exponent(self, u: int) -> int:
@@ -190,14 +262,15 @@ class DirichletChar:
 
     @property
     def conductor(self) -> int:
+        """Product of the local conductors, one per prime power of M."""
         if self._conductor is None:
-            m = self.group.modulus
-            cond = m
-            for f in divisors(m):
-                if all(self.group_exponent(u) == 0
-                       for u in self.group.units if u % f == 1 % f):
-                    cond = f
-                    break
+            cond = 1
+            start = 0
+            for local in self.group._locals:
+                stop = start + len(local.generators)
+                cond *= _local_conductor(local.p, local.e,
+                                         self.exponents[start:stop])
+                start = stop
             self._conductor = cond
         return self._conductor
 
@@ -208,38 +281,48 @@ class DirichletChar:
             if f == self.group.modulus:
                 self._primitive = self
             else:
+                m = self.group.modulus
+                n = self.group.exponent
                 gf = unit_group(f)
                 exps = []
                 for h, o in gf.generators:
                     lift = h
-                    while gcd(lift, self.group.modulus) != 1:
+                    while gcd(lift, m) != 1:
                         lift += f
-                    q = self.group_angle(lift) * o
-                    if q.denominator != 1:
+                    a = self.group_exponent(lift) * o
+                    if a % n:
                         raise ArithmeticError("conductor computation is broken")
-                    exps.append(q.numerator % o)
+                    exps.append(a // n % o)
                 self._primitive = DirichletChar(gf, exps)
         return self._primitive
 
     # -- evaluation at arbitrary integers ------------------------------------
-    def angle(self, n: int) -> Fraction | None:
-        """Angle of chi(n) in [0,1), or None when the value is zero."""
+    def primitive_exponent(self, n: int) -> int | None:
+        """Exponent a with chi(n) = zeta_N^a for N the primitive character's
+        group exponent (`primitive().group.exponent`), or None when chi(n) = 0.
+
+        Cached per residue mod the conductor.
+        """
         f = self.conductor
         r = n % f
-        if r not in self._angle_cache:
-            self._angle_cache[r] = (None if gcd(r, f) != 1
-                                    else self.primitive().group_angle(r))
-        return self._angle_cache[r]
+        try:
+            return self._value_cache[r]
+        except KeyError:
+            a = None if gcd(r, f) != 1 else self.primitive().group_exponent(r)
+            self._value_cache[r] = a
+            return a
+
+    def angle(self, n: int) -> Fraction | None:
+        """Angle of chi(n) in [0,1), or None when the value is zero."""
+        a = self.primitive_exponent(n)
+        return None if a is None else _angle(a, self.primitive().group.exponent)
 
     def eval_exponent(self, n: int) -> int | None:
         """Exponent a with chi(n) = zeta_N^a (N the group exponent), or None."""
-        q = self.angle(n)
-        if q is None:
+        a = self.primitive_exponent(n)
+        if a is None:
             return None
-        a = q * self.group.exponent
-        if a.denominator != 1:
-            raise ArithmeticError("character value outside zeta_N powers")
-        return a.numerator % self.group.exponent
+        return a * (self.group.exponent // self.primitive().group.exponent)
 
     def value(self, n: int) -> complex:
         q = self.angle(n)
@@ -254,12 +337,13 @@ class DirichletChar:
                 f"cannot lift character mod {self.group.modulus} "
                 f"to modulus {target.modulus}"
             )
+        n = self.group.exponent
         exps = []
         for g, o in target.generators:
-            q = self.group_angle(g) * o
-            if q.denominator != 1:
+            a = self.group_exponent(g) * o
+            if a % n:
                 raise ArithmeticError("lift produced a non-integral exponent")
-            exps.append(q.numerator % o)
+            exps.append(a // n % o)
         return DirichletChar(target, exps)
 
     def __mul__(self, other: "DirichletChar") -> "DirichletChar":

@@ -40,7 +40,14 @@ def _load_config(path: str | None) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"config file is not UTF-8 text: {path}") from None
+    except OSError as exc:
+        raise UsageError(
+            f"cannot read config file {path}: {exc.strerror or exc}") from None
+    return parse_config(text)
 
 
 def _stamp(cfg: ExperimentConfig | None) -> dict:
@@ -158,6 +165,9 @@ def cmd_rs(args) -> int:
                                  thm1_2_applies, twisted_pairs)
 
     cfg = _load_config(args.config)
+    if args.csv and args.limit < 2:
+        raise UsageError(
+            f"--limit for --csv must be at least 2, got {args.limit}")
     pi = cfg.pi()
     pi_prime = cfg.pi_prime()
     pairing = twisted_pairs(pi, pi_prime)
@@ -188,6 +198,10 @@ def cmd_count(args) -> int:
 
     from .twist_counts import coprime_count, noncuspidal_orbit
 
+    for flag, degree in (("--l", args.l), ("--lprime", args.lprime)):
+        if degree < 1:
+            raise UsageError(f"{flag} is a degree and must be at least 1, "
+                             f"got {degree}")
     payload: dict = _stamp(None)
     if gcd(args.l, args.lprime) == 1:
         payload["coprime_count"] = coprime_count(args.l, args.lprime,

@@ -97,12 +97,13 @@ class RootContext:
         self._powers = table
 
     def exponent_of(self, angle: Fraction) -> int:
-        angle = normalize_angle(angle)
-        if self.level % angle.denominator != 0:
+        den = angle.denominator
+        if self.level % den != 0:
             raise ValueError(
-                f"angle {angle} does not live at cyclotomic level {self.level}"
+                f"angle {normalize_angle(angle)} does not live at cyclotomic "
+                f"level {self.level}"
             )
-        return angle.numerator * (self.level // angle.denominator)
+        return angle.numerator * (self.level // den) % self.level
 
     def vector(self, terms: Iterable[tuple[Fraction, int]]) -> tuple[int, ...]:
         acc = [0] * self.degree

@@ -134,10 +134,11 @@ class RsCoeffSource:
 def _fiber_residue_table(fiber, modulus: int) -> np.ndarray:
     table = np.zeros((len(fiber), modulus), dtype=np.complex128)
     for row, (chi, _) in enumerate(fiber):
+        level = chi.primitive().group.exponent
         for r in range(modulus):
-            q = chi.angle(r)
-            if q is not None:
-                table[row, r] = cmath.exp(2j * cmath.pi * float(q))
+            a = chi.primitive_exponent(r)
+            if a is not None:
+                table[row, r] = cmath.exp(2j * cmath.pi * (a / level))
     return table
 
 
@@ -182,7 +183,10 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
 
     Both sides are computed independently as products of primitive character
     values; primes dividing any conductor involved are excluded consistently.
-    Returns True only on exact agreement at every remaining p^k <= limit.
+    Each value is the integer exponent a of chi(n) = zeta_N^a on its
+    primitive character's group exponent N, scaled to the lcm L of the four
+    N, so the comparison is exact integer arithmetic mod L.  Returns True
+    only on exact agreement at every remaining p^k <= limit.
     """
     left_a = pi_q * chi
     left_b = pi_q_prime * xi
@@ -191,20 +195,25 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     bad = lcm(chi.conductor, xi.conductor,
               pi_q.conductor, pi_q_prime.conductor)
     excluded = {p for p, _ in factorize(bad)}
+    levels = [c.primitive().group.exponent
+              for c in (left_a, left_b, right_a, right_b)]
+    level = lcm(*levels)
+    sa, sb, ta, tb = (level // n for n in levels)
     for p in sieve_primes(limit).tolist():
         if p in excluded:
             continue
         n = p
         while n <= limit:
-            la = left_a.angle(n)
-            lb = left_b.angle(n)
-            ra = right_a.angle(n)
-            rb = right_b.angle(n)
+            la = left_a.primitive_exponent(n)
+            lb = left_b.primitive_exponent(n)
+            ra = right_a.primitive_exponent(n)
+            rb = right_b.primitive_exponent(n)
             left_zero = la is None or lb is None
             right_zero = ra is None or rb is None
             if left_zero != right_zero:
                 return False
-            if not left_zero and (la - lb) % 1 != (ra - rb) % 1:
+            if not left_zero and \
+                    (la * sa - lb * sb - ra * ta + rb * tb) % level:
                 return False
             n *= p
     return True

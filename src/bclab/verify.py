@@ -315,10 +315,9 @@ def check_noncuspidal_orbits(_: int = 0) -> tuple[bool, str]:
     return True, f"{total} orbits, all of full prime length"
 
 
-def check_twist_absorption(samples: int = 100, limit: int = 10_000
-                           ) -> tuple[bool, str]:
-    """Twisting one convolution factor equals absorbing the ratio twist into
-    the other, coefficientwise and exactly, for random character quadruples."""
+def absorption_quadruples(samples: int):
+    """The seeded character quadruples (chi, xi, pi_q, pi_q') of criterion 9,
+    each character mod a random modulus in 1..60."""
     rng = random.Random(0x5EED)
 
     def random_char():
@@ -327,8 +326,16 @@ def check_twist_absorption(samples: int = 100, limit: int = 10_000
         exps = [rng.randrange(o) for _, o in group.generators]
         return DirichletChar(group, exps)
 
-    for trial in range(samples):
-        chi, xi, pi_q, pi_q_prime = (random_char() for _ in range(4))
+    for _ in range(samples):
+        yield tuple(random_char() for _ in range(4))
+
+
+def check_twist_absorption(samples: int = 100, limit: int = 10_000
+                           ) -> tuple[bool, str]:
+    """Twisting one convolution factor equals absorbing the ratio twist into
+    the other, coefficientwise and exactly, for random character quadruples."""
+    for trial, quad in enumerate(absorption_quadruples(samples)):
+        chi, xi, pi_q, pi_q_prime = quad
         if not twist_absorption_check(chi, xi, pi_q, pi_q_prime, limit):
             return False, (f"trial {trial}: moduli "
                            f"{[c.modulus for c in (chi, xi, pi_q, pi_q_prime)]}")
@@ -385,10 +392,37 @@ _CHECKS = [
 ]
 
 
+def _wanted_checks(only) -> set[int] | None:
+    """Check numbers named in a comma-separated string; None means all.
+
+    Raises ValueError, listing the valid numbers, for a token that names no
+    check or a string that names none at all.
+    """
+    if not only:
+        return None
+    valid = [number for number, *_ in _CHECKS]
+    tokens = [tok.strip() for tok in str(only).split(",") if tok.strip()]
+    wanted = set()
+    bad = []
+    for tok in tokens:
+        try:
+            number = int(tok)
+        except ValueError:
+            number = None
+        if number in valid:
+            wanted.add(number)
+        else:
+            bad.append(tok)
+    if bad or not wanted:
+        what = (f"unknown check number(s) {', '.join(bad)}" if bad
+                else "no check numbers")
+        raise ValueError(f"{what} in {str(only)!r}; valid check numbers are "
+                         f"{', '.join(map(str, valid))}")
+    return wanted
+
+
 def run_checks(only=None, quick: bool = False) -> list[CheckResult]:
-    wanted = None
-    if only:
-        wanted = {int(tok) for tok in str(only).split(",") if tok.strip()}
+    wanted = _wanted_checks(only)
     results = []
     for number, name, fn, full_kw, quick_kw in _CHECKS:
         if wanted is not None and number not in wanted:

@@ -1,12 +1,175 @@
-"""Brute-force references for the exact layer's subgroup and fiber kernels.
+"""Brute-force references for the exact layer.
 
-Each one is written the slow, obvious way: closures by breadth-first
-multiplication, extensions by scanning the whole dual group and comparing
-angles on every element of H, tower labels by structural keys.  The tests
-compare the library's kernels against them.
+Each one is written the slow, obvious way: unit groups with a full
+discrete-log table at the modulus, characters evaluated through Fraction
+angles with the conductor found by a divisor search, closures by
+breadth-first multiplication, extensions by scanning the whole dual group
+and comparing angles on every element of H, tower labels by structural keys.
+The tests compare the library's kernels against them.
 """
 
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+
 from bclab.characters import DirichletChar, SubgroupChar, dual_group, factorize
+from bclab.pnt import sieve_primes
+
+
+def _phi(n):
+    return sum(1 for k in range(n) if gcd(k, n) == 1)
+
+
+def _smallest_primitive_root(q):
+    phi = _phi(q)
+    parts = [f for f, _ in factorize(phi)]
+    g = 2
+    while gcd(g, q) != 1 or any(pow(g, phi // f, q) == 1 for f in parts):
+        g += 1
+    return g
+
+
+def _crt_one_elsewhere(residue, q, m):
+    # The x in [0, m) with x = residue mod q and x = 1 mod m/q.
+    return next(x for x in range(m) if x % q == residue % q
+                and x % (m // q) == 1 % (m // q))
+
+
+class EagerUnitGroup:
+    """(Z/mZ)^x with the full discrete-log table built at the modulus m."""
+
+    def __init__(self, m):
+        self.modulus = m
+        gens = []
+        for p, e in factorize(m):
+            q = p ** e
+            if p == 2:
+                if e == 2:
+                    gens.append((_crt_one_elsewhere(3, 4, m), 2))
+                elif e >= 3:
+                    gens.append((_crt_one_elsewhere(q - 1, q, m), 2))
+                    gens.append((_crt_one_elsewhere(5, q, m), 2 ** (e - 2)))
+            else:
+                gens.append((_crt_one_elsewhere(_smallest_primitive_root(q),
+                                                q, m), _phi(q)))
+        self.generators = tuple(gens)
+        self.exponent = lcm(*[o for _, o in gens])
+        table = {1 % m: ()}
+        for g, o in gens:
+            grown = {}
+            for u, vec in table.items():
+                for k in range(o):
+                    grown[u] = vec + (k,)
+                    u = u * g % m
+            table = grown
+        assert len(table) == _phi(m), "generators do not span"
+        self.dlog_table = table
+        self.units = tuple(sorted(table))
+        self.order = len(table)
+
+
+eager_unit_group = lru_cache(maxsize=None)(EagerUnitGroup)
+
+
+class FractionChar:
+    """A character mod m evaluated the old way: Fraction angles read off the
+    eager table, conductor by divisor search, primitive character and lifts
+    through Fraction values on generators."""
+
+    def __init__(self, m, exponents):
+        self.group = eager_unit_group(m)
+        self.exponents = tuple(e % o for e, (_, o)
+                               in zip(exponents, self.group.generators))
+        self._angles = {}
+
+    @classmethod
+    def of(cls, chi):
+        return cls(chi.modulus, chi.exponents)
+
+    @property
+    def modulus(self):
+        return self.group.modulus
+
+    def group_angle(self, u):
+        vec = self.group.dlog_table[u % self.modulus]
+        n = self.group.exponent
+        total = sum(e * x * (n // o) for e, x, (_, o)
+                    in zip(self.exponents, vec, self.group.generators))
+        return Fraction(total % n, n)
+
+    @cached_property
+    def conductor(self):
+        m = self.modulus
+        for f in (d for d in range(1, m + 1) if m % d == 0):
+            if all(self.group_angle(u) == 0
+                   for u in self.group.units if u % f == 1 % f):
+                return f
+
+    def primitive(self):
+        return self._primitive
+
+    @cached_property
+    def _primitive(self):
+        f = self.conductor
+        exps = []
+        for h, o in eager_unit_group(f).generators:
+            lift = h
+            while gcd(lift, self.modulus) != 1:
+                lift += f
+            q = self.group_angle(lift) * o
+            assert q.denominator == 1
+            exps.append(q.numerator % o)
+        return FractionChar(f, exps)
+
+    def lift_to(self, m):
+        exps = []
+        for g, o in eager_unit_group(m).generators:
+            q = self.group_angle(g) * o
+            assert q.denominator == 1
+            exps.append(q.numerator % o)
+        return FractionChar(m, exps)
+
+    def angle(self, n):
+        f = self.conductor
+        r = n % f
+        if r not in self._angles:
+            self._angles[r] = (None if gcd(r, f) != 1
+                               else self.primitive().group_angle(r))
+        return self._angles[r]
+
+    def conjugate(self):
+        return FractionChar(self.modulus, [-e for e in self.exponents])
+
+    def __mul__(self, other):
+        m = lcm(self.modulus, other.modulus)
+        a, b = self.lift_to(m), other.lift_to(m)
+        return FractionChar(m, [x + y for x, y in zip(a.exponents, b.exponents)])
+
+
+def twist_absorption_oracle(chi, xi, pi_q, pi_q_prime, limit):
+    """twist_absorption_check on FractionChar: angle differences mod 1."""
+    chi, xi, pi_q, pi_q_prime = map(FractionChar.of, (chi, xi, pi_q, pi_q_prime))
+    left_a = pi_q * chi
+    left_b = pi_q_prime * xi
+    right_a = pi_q
+    right_b = pi_q_prime * (chi.conjugate() * xi)
+    bad = lcm(chi.conductor, xi.conductor, pi_q.conductor, pi_q_prime.conductor)
+    excluded = {p for p, _ in factorize(bad)}
+    for p in sieve_primes(limit).tolist():
+        if p in excluded:
+            continue
+        n = p
+        while n <= limit:
+            la, lb, ra, rb = (c.angle(n)
+                              for c in (left_a, left_b, right_a, right_b))
+            left_zero = la is None or lb is None
+            right_zero = ra is None or rb is None
+            if left_zero != right_zero:
+                return False
+            if not left_zero and (la - lb) % 1 != (ra - rb) % 1:
+                return False
+            n *= p
+    return True
 
 
 def closure_bfs(m, elements):

@@ -11,6 +11,7 @@ from bclab.characters import (
     all_subgroups,
     closure,
     dual_group,
+    factorize,
     extensions,
     restrict_char,
     subgroup_characters,
@@ -18,6 +19,8 @@ from bclab.characters import (
     unit_group,
 )
 from oracles import (
+    EagerUnitGroup,
+    FractionChar,
     all_subgroups_oracle,
     closure_bfs,
     extensions_oracle,
@@ -377,3 +380,83 @@ def test_closure_matches_breadth_first_growth(m, data):
     g = unit_group(m)
     elements = data.draw(st.lists(st.sampled_from(g.units), max_size=4))
     assert closure(g, elements) == closure_bfs(m, elements)
+
+
+# ------------------------------------- CRT-local unit groups against oracles
+
+def test_unit_group_matches_eager_table_oracle():
+    for m in range(1, 301):
+        g, eager = unit_group(m), EagerUnitGroup(m)
+        assert g.generators == eager.generators
+        assert g.exponent == eager.exponent
+        assert g.order == eager.order
+        assert g.dlog_table == eager.dlog_table
+        assert g.units == eager.units
+
+
+def test_unit_group_orders_match_sympy():
+    from sympy.functions.combinatorial.numbers import reduced_totient, totient
+    from sympy.ntheory import n_order, primitive_root
+
+    for m in range(1, 301):
+        g = unit_group(m)
+        assert g.order == totient(m)
+        assert g.exponent == reduced_totient(m)
+        for gen, order in g.generators:
+            assert n_order(gen, m) == order
+        for p, e in factorize(m):
+            if p != 2:
+                q = p ** e
+                lifted = [gen % q for gen, _ in g.generators if gen % q != 1]
+                assert lifted == [primitive_root(q)]
+
+
+def test_dlog_memo_and_non_units():
+    g = unit_group(2 ** 5 * 3 ** 2 * 7)
+    for u in (1, 5, 13, -1, 2015):
+        vec = g.dlog(u)
+        assert g.dlog(u + g.modulus) == vec
+        rebuilt = 1
+        for (gen, _), k in zip(g.generators, vec):
+            rebuilt = rebuilt * pow(gen, k, g.modulus) % g.modulus
+        assert rebuilt == u % g.modulus
+    for u in (0, 2, 21, 2016):
+        assert not g.is_unit(u)
+        with pytest.raises(ValueError, match="not a unit modulo 2016"):
+            g.dlog(u)
+
+
+def _agrees_with_fraction_oracle(chi, oracle):
+    assert chi.modulus == oracle.modulus
+    assert chi.exponents == oracle.exponents
+    assert chi.conductor == oracle.conductor
+    prim, prim_oracle = chi.primitive(), oracle.primitive()
+    assert (prim.modulus, prim.exponents) == (prim_oracle.modulus,
+                                              prim_oracle.exponents)
+    level = chi.group.exponent
+    for n in range(chi.modulus):
+        q = oracle.angle(n)
+        assert chi.angle(n) == q
+        assert chi.eval_exponent(n) == (None if q is None else q * level)
+
+
+def test_characters_match_fraction_oracle():
+    for m in range(1, 61):
+        for chi in dual_group(unit_group(m)):
+            oracle = FractionChar.of(chi)
+            _agrees_with_fraction_oracle(chi, oracle)
+            for k in (2, 3):
+                lifted = chi.lift_to(unit_group(k * m))
+                assert lifted.exponents == oracle.lift_to(k * m).exponents
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 120), st.data())
+def test_products_match_fraction_oracle(m1, m2, data):
+    def draw(m):
+        g = unit_group(m)
+        exps = [data.draw(st.integers(0, o - 1)) for _, o in g.generators]
+        return DirichletChar(g, exps)
+
+    a, b = draw(m1), draw(m2)
+    _agrees_with_fraction_oracle(a * b, FractionChar.of(a) * FractionChar.of(b))

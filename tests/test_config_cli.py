@@ -255,3 +255,71 @@ def test_threads_env_honored(monkeypatch):
     assert _resolve_workers(None) == 2
     monkeypatch.delenv("BCLAB_THREADS")
     assert _resolve_workers(7) == 7
+
+
+@pytest.mark.parametrize("only", ["99", ",", "6,99", "0", "six", " , "])
+def test_run_checks_rejects_unknown_numbers(only):
+    from bclab.verify import run_checks
+
+    with pytest.raises(ValueError, match="valid check numbers are 1, 2, 3, "
+                                         "4, 5, 6, 7, 8, 9, 10"):
+        run_checks(only=only, quick=True)
+
+
+@pytest.mark.parametrize("only", ["99", ",", "6,99"])
+def test_verify_unknown_check_is_a_clean_error(only, capsys):
+    assert main(["verify", "--quick", "--only", only]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bclab: error:")
+    assert "valid check numbers are 1, 2" in captured.err
+
+
+def test_run_checks_accepts_spaces_and_empty_tokens():
+    from bclab.verify import run_checks
+
+    assert [r.number for r in run_checks(only=" 8, ,6,", quick=True)] == [6, 8]
+
+
+def _assert_usage_error(argv, capsys, needle):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bclab: usage error:")
+    assert needle in captured.err and "Traceback" not in captured.err
+
+
+def test_config_path_is_a_directory(tmp_path, capsys):
+    _assert_usage_error(["char", "--config", str(tmp_path)], capsys,
+                        "Is a directory")
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("# caf\xe9\ne_modulus = 5\n".encode("latin-1"))
+    _assert_usage_error(["char", "--config", str(bad)], capsys, "not UTF-8")
+
+
+def test_config_file_unreadable(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "locked.cfg"
+    cfg.write_text(THM11.read_text())
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    _assert_usage_error(["char", "--config", str(cfg)], capsys,
+                        "Permission denied")
+
+
+def test_rs_rejects_small_csv_limit_before_output(tmp_path, capsys):
+    csv = tmp_path / "coeffs.csv"
+    _assert_usage_error(["rs", "--config", str(THM11), "--csv", str(csv),
+                         "--limit", "1"], capsys, "--limit")
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [["--l", "0", "--lprime", "3"],
+                                  ["--l", "2", "--lprime", "-1"]])
+def test_count_rejects_degree_below_one(argv, capsys):
+    _assert_usage_error(["count"] + argv, capsys, "at least 1")

@@ -86,3 +86,15 @@ def test_context_rejects_foreign_angle():
     ctx = RootContext(4)
     with pytest.raises(ValueError):
         ctx.vector([(Fraction(1, 3), 1)])
+
+
+def test_exponent_of_reduces_any_representative():
+    ctx = RootContext(12)
+    for num in range(-30, 31):
+        for den in (1, 2, 3, 4, 6, 12):
+            q = Fraction(num, den)
+            assert ctx.exponent_of(q) == (q % 1) * 12
+    assert ctx.exponent_of(0) == 0
+    with pytest.raises(ValueError, match="angle 3/5 does not live at "
+                                         "cyclotomic level 12"):
+        ctx.exponent_of(Fraction(-2, 5))

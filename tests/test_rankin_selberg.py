@@ -19,6 +19,8 @@ from bclab.rankin_selberg import (
     twist_absorption_check,
     twisted_pairs,
 )
+from bclab.verify import absorption_quadruples
+from oracles import FractionChar, twist_absorption_oracle
 
 THM11 = Path(__file__).resolve().parent.parent / "configs" / "thm11.cfg"
 
@@ -205,3 +207,18 @@ def test_pair_count_divides_both_degrees(m1, m2, data):
         assert f2.degree % t.size == 0
     if thm1_2_applies(f1, f2):
         assert t.size in (0, 1)
+
+
+def test_absorption_matches_fraction_oracle_on_criterion_9():
+    for quad in absorption_quadruples(100):
+        chi, xi, pi_q, pi_q_prime = quad
+        ochi, oxi, oa, ob = map(FractionChar.of, quad)
+        pairs = [(pi_q * chi, oa * ochi), (pi_q_prime * xi, ob * oxi),
+                 (pi_q_prime * (chi.conjugate() * xi),
+                  ob * (ochi.conjugate() * oxi))]
+        for prod, oracle in pairs:
+            assert (prod.modulus, prod.exponents, prod.conductor) == \
+                (oracle.modulus, oracle.exponents, oracle.conductor)
+            assert prod.primitive().exponents == oracle.primitive().exponents
+        assert twist_absorption_check(*quad, 10_000) == \
+            twist_absorption_oracle(*quad, 10_000)
