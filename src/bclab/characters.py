@@ -52,14 +52,58 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+# Trial division by the primes below 100, as one gcd with their product,
+# settles every n below 101^2.
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                           47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
+_SMALL_PRIMES_PRODUCT = prod(_SMALL_PRIMES)
+# Deterministic Miller-Rabin (OEIS A014233; Jaeschke 1993, Sorenson and
+# Webster 2015): the first k primes as bases decide every odd n < bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = tuple((bound, _MR_BASES[:k]) for bound, k in (
+    (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13)))
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Whether the odd n > 2 passes the Miller-Rabin test to every base."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def is_prime(n: int) -> bool:
+    """Exact for every integer: trial division by the primes below 100,
+    then deterministic Miller-Rabin with as many bases as n needs; past the
+    last proven bound, trial division."""
     if n < 2:
         return False
-    d = 2
+    if gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    if n < 101 * 101:
+        return True
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            return _strong_probable_prime(n, bases)
+    d = 101
     while d * d <= n:
         if n % d == 0:
             return False
-        d += 1 if d == 2 else 2
+        d += 2
     return True
 
 
@@ -484,7 +528,8 @@ class SubgroupChar:
                  check: bool = True):
         m = group.modulus
         elements = frozenset(u % m for u in angles)
-        angles = {u % m: normalize_angle(q) for u, q in angles.items()}
+        angles = {u % m: q if 0 <= q.numerator < q.denominator
+                  else normalize_angle(q) for u, q in angles.items()}
         if check:
             if 1 % m not in elements:
                 raise ValueError("subgroup must contain 1")
@@ -563,8 +608,9 @@ def restrict_char(chi: DirichletChar, subgroup) -> SubgroupChar:
     given = frozenset(u % group.modulus for u in subgroup)
     if given | {1 % group.modulus} != elements:
         raise ValueError("H is not closed under multiplication")
-    return SubgroupChar(group, {u: chi.group_angle(u) for u in elements},
-                        check=False)
+    n = group.exponent
+    return SubgroupChar(group, {u: _angle(chi.group_exponent(u), n)
+                                for u in elements}, check=False)
 
 
 def extensions(omega: SubgroupChar, group: UnitGroup) -> list[DirichletChar]:
@@ -598,8 +644,7 @@ def subgroup_characters(group: UnitGroup, elements) -> list[SubgroupChar]:
     sub = closure(group, elements)
     _, classes = _restriction_classes(group, sub)
     n = group.exponent
-    angles = [Fraction(a, n) for a in range(n)]
-    out = [SubgroupChar(group, {u: angles[bucket[0].group_exponent(u)]
+    out = [SubgroupChar(group, {u: _angle(bucket[0].group_exponent(u), n)
                                 for u in sub}, check=False)
            for bucket in classes.values()]
     if len(out) != len(sub):

@@ -1,8 +1,9 @@
 """Command-line front end: reproducible experiments over config files.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 verification
-failure.  File artifacts embed the config hash and artifact version; the
-only non-deterministic field is the marked generated_at timestamp.
+Exit codes: 0 success, 1 usage, configuration or output error, 2
+verification failure.  File artifacts embed the config hash and artifact
+version; the only non-deterministic field is the marked generated_at
+timestamp.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .config import (
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output file cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,20 +62,31 @@ def _stamp(cfg: ExperimentConfig | None) -> dict:
     }
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _check_output_dirs(*paths: str | None) -> None:
+    """Fail before any computation when an output's directory is missing."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise OutputError(f"cannot write {path}: directory "
+                              f"{Path(path).parent} does not exist")
+
+
+def _write(text: str, out: str | None) -> None:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _emit_lines(lines: list[str], out: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("".join(line + "\n" for line in lines), out)
 
 
 def _int_arg(value: str) -> int:
@@ -168,6 +184,7 @@ def cmd_rs(args) -> int:
     if args.csv and args.limit < 2:
         raise UsageError(
             f"--limit for --csv must be at least 2, got {args.limit}")
+    _check_output_dirs(args.out, args.csv)
     pi = cfg.pi()
     pi_prime = cfg.pi_prime()
     pairing = twisted_pairs(pi, pi_prime)
@@ -227,6 +244,7 @@ def cmd_pnt(args) -> int:
     cfg = with_overrides(cfg, limit=args.limit,
                          checkpoints=args.checkpoints,
                          out=args.out, csv=args.csv)
+    _check_output_dirs(cfg.out, cfg.csv)
     pi = cfg.pi()
     pi_prime = cfg.pi_prime()
     source = RsCoeffSource(pi, pi_prime)
@@ -346,7 +364,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"bclab: usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, OutputError, ValueError) as exc:
         print(f"bclab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,14 +6,21 @@ angles with the conductor found by a divisor search, closures by
 breadth-first multiplication, extensions by scanning the whole dual group
 and comparing angles on every element of H, tower labels by structural keys.
 The tests compare the library's kernels against them.
+
+For the analytic layer, `psi_per_block` is psi_sum's frozen per-block path:
+every report block sieved on its own, with the same partial-sum formula, so
+psi_sum must agree with it bit for bit however its sieve segments fall.
 """
 
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 from bclab.characters import DirichletChar, SubgroupChar, dual_group, factorize
-from bclab.pnt import sieve_primes
+from bclab.pnt import DEFAULT_CHUNK, PrimePowerStream, sieve_primes
 
 
 def _phi(n):
@@ -224,6 +231,14 @@ def subgroup_characters_oracle(group, elements):
     return list(seen.values())
 
 
+def restrict_char_oracle(chi, elements):
+    """chi's angles on the subgroup generated by the elements, as Fractions
+    built per element from the eager table and reduced mod 1."""
+    oracle = FractionChar.of(chi)
+    return {u: oracle.group_angle(u) % 1
+            for u in closure_bfs(chi.modulus, elements)}
+
+
 def extensions_oracle(omega, group):
     """Every character of the group agreeing with omega on all of H."""
     return [chi for chi in dual_group(group)
@@ -295,3 +310,49 @@ def fiber_tower_labels_oracle(pi, fiber):
         assert delta.is_trivial
         labels[i] = tuple(vec)
     return tuple(degrees), labels
+
+
+def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
+    """psi at each of the sorted checkpoints (x among them), one sieve per
+    report block, in one thread."""
+    stream = PrimePowerStream(x, chunk=chunk)
+    excluded = np.array(sorted(set(source.excluded_primes)), dtype=np.int64)
+    powers = stream.higher_powers()
+    power_vals = {}
+    by_k = {}
+    for p, k, _ in powers:
+        by_k.setdefault(k, []).append(p)
+    for k, plist in by_k.items():
+        parr = np.array(plist, dtype=np.int64)
+        keep = ~np.isin(parr, excluded)
+        vals = np.zeros(len(parr), dtype=np.complex128)
+        if keep.any():
+            vals[keep] = np.asarray(source.coeff_at(parr[keep], k),
+                                    dtype=np.complex128)
+        logs = np.log(parr.astype(np.float64))
+        for p, v, lg in zip(plist, vals, logs):
+            power_vals[(p, k)] = complex(v * lg)
+
+    edges = stream.block_edges(checkpoints)
+    parts = []
+    power_idx = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        primes = stream.primes_in(lo, hi)
+        if excluded.size:
+            primes = primes[~np.isin(primes, excluded)]
+        part = 0j
+        if primes.size:
+            vals = np.asarray(source.coeff_at(primes, 1), dtype=np.complex128)
+            part = complex(np.sum(np.log(primes.astype(np.float64)) * vals))
+        extra = 0j
+        while power_idx < len(powers) and lo <= powers[power_idx][2] < hi:
+            extra += power_vals[powers[power_idx][:2]]
+            power_idx += 1
+        parts.append(part + extra)
+
+    psi = []
+    for c in checkpoints:
+        done = parts[:edges.index(c + 1)]
+        psi.append(complex(math.fsum(z.real for z in done),
+                           math.fsum(z.imag for z in done)))
+    return tuple(psi)

@@ -13,17 +13,20 @@ from bclab.characters import (
     dual_group,
     factorize,
     extensions,
+    is_prime,
     restrict_char,
     subgroup_characters,
     trivial_char,
     unit_group,
 )
+from bclab.pnt import sieve_primes
 from oracles import (
     EagerUnitGroup,
     FractionChar,
     all_subgroups_oracle,
     closure_bfs,
     extensions_oracle,
+    restrict_char_oracle,
     subgroup_characters_oracle,
     subgroup_generators_oracle,
 )
@@ -326,6 +329,29 @@ def test_extension_count_and_roundtrip_exhaustive():
                     assert restrict_char(ratio, sub).is_trivial
 
 
+def test_restrict_char_matches_fraction_oracle():
+    # every omega with m <= 40, reached by restricting its extensions
+    for m in range(1, 41):
+        g = unit_group(m)
+        for sub in all_subgroups(g):
+            for omega in subgroup_characters(g, sub):
+                for chi in extensions(omega, g)[:2]:
+                    got = restrict_char(chi, sub).angles
+                    assert got == restrict_char_oracle(chi, sub) == \
+                        omega.angles
+                    assert all(type(q) is Fraction and 0 <= q < 1
+                               for q in got.values())
+
+
+def test_subgroup_char_reduces_angles_mod_one():
+    g = unit_group(5)
+    for one, q in ((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(-1, 2)),
+                   (Fraction(2), Fraction(3, 2))):
+        omega = SubgroupChar(g, {1: one, 4: q})
+        assert omega.angles == {1: 0, 4: Fraction(1, 2)}
+    assert SubgroupChar(g, {1: 0, 4: Fraction(1, 2)}).conjugate() == omega
+
+
 def test_closure_helper():
     g = unit_group(20)
     sub = closure(g, [3])
@@ -460,3 +486,49 @@ def test_products_match_fraction_oracle(m1, m2, data):
 
     a, b = draw(m1), draw(m2)
     _agrees_with_fraction_oracle(a * b, FractionChar.of(a) * FractionChar.of(b))
+
+
+# ---------------------------------------------------------------- primality
+
+# Strong pseudoprimes to the first k prime bases (OEIS A014233), Carmichael
+# numbers and a few spsp(2); all composite.
+PSEUDOPRIMES = (561, 1105, 1729, 2047, 3277, 4033, 4681, 8321, 1_373_653,
+                25_326_001, 3_215_031_751, 2_152_302_898_747,
+                3_474_749_660_383, 341_550_071_728_321,
+                3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
+
+
+def test_is_prime_matches_sieve_to_1e6():
+    flags = [False] * (10**6 + 1)
+    for p in sieve_primes(10**6).tolist():
+        flags[p] = True
+    assert [n for n in range(-5, 10**6 + 1) if is_prime(n) != flags[max(n, 0)]
+            ] == []
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    from sympy import isprime
+    assert not isprime(n)
+    assert not is_prime(n)
+    q = n + 2  # and the next prime above it is found
+    while not isprime(q):
+        q += 2
+    assert is_prime(q)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.integers(0, 10**20), st.integers(0, 10**12),
+                 st.integers(10**20, 3 * 10**24)))
+def test_is_prime_matches_sympy(n):
+    from sympy import isprime
+    assert is_prime(n) == isprime(n)
+
+
+def test_is_prime_past_the_miller_rabin_bounds():
+    # trial division takes over; each n's least prime factor is 101 or more
+    bound = 3_317_044_064_679_887_385_961_981
+    big_prime = 10**20 + 39
+    for n in (101 * bound, 99_991 * big_prime, 1_000_003 ** 2 * big_prime,
+              1_000_003 * 1_000_033 * big_prime):
+        assert n >= bound and not is_prime(n)

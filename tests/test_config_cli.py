@@ -323,3 +323,63 @@ def test_rs_rejects_small_csv_limit_before_output(tmp_path, capsys):
                                   ["--l", "2", "--lprime", "-1"]])
 def test_count_rejects_degree_below_one(argv, capsys):
     _assert_usage_error(["count"] + argv, capsys, "at least 1")
+
+
+# ------------------------------------------------------------ output errors
+
+def _assert_output_error(argv, capsys, needle):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bclab: error: cannot write")
+    assert needle in captured.err and "Traceback" not in captured.err
+
+
+def _psi_sum_must_not_run(*args, **kwargs):
+    raise AssertionError("psi_sum ran before the output check")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_pnt_missing_output_dir_fails_before_psi_sum(flag, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.setattr("bclab.pnt.psi_sum", _psi_sum_must_not_run)
+    target = tmp_path / "missing" / "r.json"
+    _assert_output_error(["pnt", "--config", str(THM11), flag, str(target)],
+                         capsys, "does not exist")
+    assert not target.parent.exists()
+
+
+def test_pnt_missing_output_dir_from_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("bclab.pnt.psi_sum", _psi_sum_must_not_run)
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(THM11.read_text() +
+                   f"\ncsv = {tmp_path / 'missing' / 't.csv'}\n")
+    _assert_output_error(["pnt", "--config", str(cfg)], capsys,
+                         "does not exist")
+
+
+def test_rs_missing_csv_dir_fails_before_any_output(tmp_path, capsys):
+    _assert_output_error(["rs", "--config", str(THM11), "--csv",
+                          str(tmp_path / "missing" / "c.csv")],
+                         capsys, "does not exist")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pnt", "--config", str(THM11), "--limit", "1000"],
+    ["field", "--config", str(THM11)],
+    ["count", "--l", "2", "--lprime", "3"],
+])
+def test_write_failure_is_a_clean_error(argv, tmp_path, capsys):
+    # the directory exists, but the output path is itself a directory
+    _assert_output_error(argv + ["--out", str(tmp_path)], capsys,
+                         "Is a directory")
+
+
+def test_csv_write_failure_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["pnt", "--config", str(THM11), "--limit", "1000",
+                 "--out", str(out), "--csv", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bclab: error: cannot write")
+    assert "Traceback" not in captured.err
+    assert json.loads(out.read_text())["report"]["limit"] == 1000

@@ -9,10 +9,12 @@ from bclab.characters import DirichletChar, trivial_char, unit_group
 from bclab.fields import make_field
 from bclab.automorphic import base_change, trivial_over
 from bclab.rankin_selberg import RsCoeffSource, rs_coefficients
+from bclab import pnt
 from bclab.pnt import (
     DirichletSource,
     PrimePowerStream,
     _resolve_workers,
+    _segments,
     decay_check,
     default_checkpoints,
     predicted_main_term,
@@ -20,6 +22,7 @@ from bclab.pnt import (
     sieve_primes,
     source_from_series,
 )
+from oracles import psi_per_block
 
 
 def is_prime_slow(n):
@@ -217,6 +220,82 @@ def test_determinism_bit_for_bit():
 
     rep3 = psi_sum(Proxy(), 100_000)
     assert rep3.psi == rep1.psi
+
+
+# ------------------------------------------------------------ sieve segments
+
+def test_segments_are_maximal_runs_within_segment(monkeypatch):
+    monkeypatch.setattr(pnt, "SEGMENT", 25)
+    blocks = [(2, 12), (12, 13), (13, 27), (27, 80), (80, 90), (90, 95),
+              (95, 106)]
+    assert _segments(blocks) == [[(2, 12), (12, 13), (13, 27)], [(27, 80)],
+                                 [(80, 90), (90, 95)], [(95, 106)]]
+
+    monkeypatch.setattr(pnt, "SEGMENT", 2_000)
+    stream = PrimePowerStream(100_000, chunk=700)
+    edges = stream.block_edges([5_000, 5_001, 77_777])
+    blocks = list(zip(edges[:-1], edges[1:]))
+    segments = _segments(blocks)
+    assert [b for seg in segments for b in seg] == blocks
+    assert max(len(seg) for seg in segments) >= 3
+    assert all(seg[-1][1] - seg[0][0] <= 2_000 for seg in segments)
+    for seg, nxt in zip(segments, segments[1:]):
+        assert nxt[0][1] - seg[0][0] > 2_000
+
+
+def _pair_source(tau=0.0):
+    e, f = make_field(5, [4]), make_field(4, [])
+    return RsCoeffSource(trivial_over(e, tau=tau), trivial_over(f))
+
+
+SEG_X = 200_000
+SEG_CHUNK = 10_000
+# 10_000 splits off the length-1 block [10001, 10002); the primes 10_007
+# and 100_003 open the blocks after the checkpoints 10_006 and 100_002.
+SEG_CHECKPOINTS = (10_000, 10_006, 100_002, 123_456, SEG_X)
+
+
+def _edge_primes():
+    """The primes on either side of every block edge; with SEGMENT below
+    the chunk every block edge is a segment edge."""
+    edges = PrimePowerStream(SEG_X, chunk=SEG_CHUNK).block_edges(
+        SEG_CHECKPOINTS)
+    primes = sieve_primes(SEG_X)
+    at = np.searchsorted(primes, edges)
+    return {int(primes[i]) for i in np.concatenate((at - 1, at))
+            if 0 <= i < primes.size}
+
+
+SEG_SOURCES = {
+    "untwisted": lambda: _pair_source(),
+    "twisted": lambda: _pair_source(tau=0.5),
+    "dirichlet_extra_excluded": lambda: DirichletSource(
+        DirichletChar(unit_group(7), [1]), tau=0.25,
+        extra_excluded=_edge_primes()),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("segment", [1, 9_999, 10_001, 35_000, 10**9])
+@pytest.mark.parametrize("name", sorted(SEG_SOURCES))
+def test_segments_bit_identical_to_per_block_sieve(monkeypatch, name,
+                                                   segment, workers):
+    source = SEG_SOURCES[name]()
+    expected = psi_per_block(source, SEG_X, SEG_CHECKPOINTS, chunk=SEG_CHUNK)
+    monkeypatch.setattr(pnt, "SEGMENT", segment)
+    rep = psi_sum(source, SEG_X, checkpoints=SEG_CHECKPOINTS,
+                  chunk=SEG_CHUNK, workers=workers)
+    assert rep.psi == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_default_segments_bit_identical_at_1e7(workers):
+    # default chunk and SEGMENT: [1000001, 1000002) is a length-1 block
+    # inside the first three-block segment
+    source = _pair_source()
+    checkpoints = default_checkpoints(10**7)
+    expected = psi_per_block(source, 10**7, checkpoints)
+    assert psi_sum(source, 10**7, workers=workers).psi == expected
 
 
 @pytest.mark.parametrize("spec_e,spec_f", [
