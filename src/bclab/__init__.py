@@ -38,10 +38,8 @@ from .automorphic import (
 )
 from .rankin_selberg import (
     RsCoeffSource,
-    RsSeries,
     TwistedPairSet,
     pole_multiplicity,
-    rs_coefficients,
     thm1_1_applies,
     thm1_2_applies,
     twist_absorption_check,

@@ -58,10 +58,6 @@ class GalHeckeChar:
         if self.omega.elements != self.field.subgroup:
             raise ValueError("omega is not a character of the field's subgroup")
 
-    @property
-    def degree_over_q(self) -> int:
-        return self.field.degree
-
     def conjugate(self) -> "GalHeckeChar":
         return GalHeckeChar(self.field, self.omega.conjugate(), -self.tau)
 

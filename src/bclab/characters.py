@@ -17,7 +17,6 @@ and safe to share.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -435,9 +434,6 @@ class DirichletChar:
             "exponents": list(self.exponents),
             "conductor": self.conductor,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def trivial_char(modulus: int = 1) -> DirichletChar:

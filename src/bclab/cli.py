@@ -177,7 +177,10 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_rs(args) -> int:
-    from .rankin_selberg import (rs_coefficients, thm1_1_applies,
+    import numpy as np
+
+    from .pnt import PrimePowerStream, sieve_primes
+    from .rankin_selberg import (RsCoeffSource, thm1_1_applies,
                                  thm1_2_applies, twisted_pairs)
 
     cfg = _load_config(args.config)
@@ -199,13 +202,25 @@ def cmd_rs(args) -> int:
     }
     _emit_json(payload, args.out)
     if args.csv:
-        series = rs_coefficients(pi, pi_prime, args.limit)
+        # a(p^k) for every prime power p^k <= limit off the excluded primes,
+        # one coeff_at call per exponent k.
+        source = RsCoeffSource(pi, pi_prime)
+        excluded = source.excluded_primes
+        primes = sieve_primes(args.limit)
+        primes = primes[~np.isin(primes, list(excluded))]
+        rows = list(zip(primes.tolist(), source.coeff_at(primes).tolist()))
+        by_k: dict[int, list[tuple[int, int]]] = {}
+        for p, k, n in PrimePowerStream(args.limit).higher_powers():
+            if p not in excluded:
+                by_k.setdefault(k, []).append((p, n))
+        for k, pn in by_k.items():
+            ps = np.array([p for p, _ in pn], dtype=np.int64)
+            rows += zip([n for _, n in pn], source.coeff_at(ps, k).tolist())
+        rows.sort(key=lambda row: row[0])
         lines = [f"# artifact_version={__version__} "
                  f"config_sha256={config_hash(cfg)}",
                  "n,re_a,im_a"]
-        for n in sorted(series.coefficients):
-            v = series.coefficients[n]
-            lines.append(f"{n},{v.real!r},{v.imag!r}")
+        lines += [f"{n},{v.real!r},{v.imag!r}" for n, v in rows]
         _emit_lines(lines, args.csv)
     return 0
 

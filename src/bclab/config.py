@@ -39,6 +39,16 @@ def parse_int(text: str) -> int:
     return int(value)
 
 
+def parse_finite_float(text: str) -> float:
+    """A float other than NaN or an infinity ('1e400' overflows to one)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite float: {text!r}")
+    return value
+
+
+_TYPE_NAMES = {parse_int: "int", parse_finite_float: "finite float"}
+
 _SCHEMA = {
     # key: (type, repeated)
     "e_modulus": (int, False),
@@ -47,10 +57,10 @@ _SCHEMA = {
     "f_gen": (int, True),
     "pi_modulus": (int, False),
     "pi_exp": (int, True),
-    "pi_tau": (float, False),
+    "pi_tau": (parse_finite_float, False),
     "pi_prime_modulus": (int, False),
     "pi_prime_exp": (int, True),
-    "pi_prime_tau": (float, False),
+    "pi_prime_tau": (parse_finite_float, False),
     "limit": (parse_int, False),
     "checkpoint": (parse_int, True),
     "out": (str, False),
@@ -139,7 +149,7 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             parsed = typ(value)
         except ValueError:
-            name = "int" if typ is parse_int else typ.__name__
+            name = _TYPE_NAMES.get(typ, typ.__name__)
             raise ConfigError(
                 f"line {lineno}: expected {name} for {key}, got {value!r}"
             ) from None

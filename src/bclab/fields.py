@@ -8,7 +8,6 @@ through congruence arithmetic alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import lcm
 
@@ -43,10 +42,6 @@ class AbelianField:
     @property
     def modulus(self) -> int:
         return self.ambient.modulus
-
-    @property
-    def is_rationals(self) -> bool:
-        return self.degree == 1
 
     def primitive_subgroup(self) -> frozenset[int]:
         """Image of H at the conductor level; canonical identity for E."""
@@ -87,9 +82,6 @@ class AbelianField:
             "degree": self.degree,
             "conductor": self.conductor,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -212,27 +212,25 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
             ) -> PntReport:
     """Accumulate psi(t) = sum_{p^k <= t} log(p) a(p^k) at each checkpoint.
 
-    The source streams coefficients: it exposes excluded_primes and
-    coeff_at(primes, k).  Ramified primes never enter the sum.  Pole data
-    (multiplicity, tau0) is taken from the source unless overridden.
+    The source protocol: `coeff_at(primes, k)` returns a(p^k) for an int64
+    array of primes; `excluded_primes` holds the primes that never enter the
+    sum; `multiplicity` and `tau0` are the pole data of the main term, used
+    unless overridden here.
     """
     x = int(x)
     if x < 100:
         raise ValueError(f"limit must be at least 100, got {x}")
-    if not hasattr(source, "coeff_at") and hasattr(source, "coefficients"):
-        source = source_from_series(source)  # a frozen coefficient table
     if multiplicity is None:
-        multiplicity = getattr(source, "multiplicity", 0)
+        multiplicity = source.multiplicity
     if tau0 is None:
-        tau0 = getattr(source, "tau0", None)
+        tau0 = source.tau0
     checkpoints = tuple(sorted(default_checkpoints(x) if checkpoints is None
                                else {int(c) for c in checkpoints} | {x}))
     if any(c < 2 or c > x for c in checkpoints):
         raise ValueError("checkpoints must lie in [2, limit]")
 
     stream = PrimePowerStream(x, chunk=chunk)
-    excluded = np.array(sorted(set(getattr(source, "excluded_primes", ()))),
-                        dtype=np.int64)
+    excluded = np.array(sorted(source.excluded_primes), dtype=np.int64)
 
     # Higher prime powers, batched per exponent, then bucketed by chunk.
     powers = stream.higher_powers()
@@ -347,23 +345,3 @@ class DirichletSource:
         if self.tau:
             vals = vals * np.exp(1j * self.tau * k * np.log(p.astype(float)))
         return vals
-
-
-class MapSource:
-    """Coefficients read from a frozen table n -> a(n); zero off the table."""
-
-    def __init__(self, table: dict[int, complex], excluded=(),
-                 multiplicity: int = 0, tau0: float | None = None):
-        self.table = dict(table)
-        self.excluded_primes = frozenset(excluded)
-        self.multiplicity = multiplicity
-        self.tau0 = tau0
-
-    def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:
-        return np.array([self.table.get(int(q) ** k, 0j) for q in p],
-                        dtype=np.complex128)
-
-
-def source_from_series(series) -> MapSource:
-    return MapSource(series.coefficients, series.excluded_primes,
-                     series.multiplicity, series.tau0)

@@ -142,39 +142,6 @@ def _fiber_residue_table(fiber, modulus: int) -> np.ndarray:
     return table
 
 
-@dataclass
-class RsSeries:
-    """Coefficient table of the convolution on prime powers up to a limit."""
-
-    coefficients: dict[int, complex]
-    limit: int
-    pair_set: TwistedPairSet
-    multiplicity: int
-    tau0: float | None
-    excluded_primes: frozenset[int]
-
-
-def rs_coefficients(pi: GalHeckeChar, pi_prime: GalHeckeChar, limit: int
-                    ) -> RsSeries:
-    """Convolution coefficients a(p^k) for all prime powers p^k <= limit,
-    with primes dividing the common modulus excluded."""
-    if limit < 2:
-        raise ValueError(f"coefficient limit must be at least 2, got {limit}")
-    source = RsCoeffSource(pi, pi_prime)
-    coeffs: dict[int, complex] = {}
-    for p in sieve_primes(limit).tolist():
-        if p in source.excluded_primes:
-            continue
-        k = 1
-        n = p
-        while n <= limit:
-            coeffs[n] = complex(source.coeff_at(np.array([p]), k)[0])
-            k += 1
-            n *= p
-    return RsSeries(coeffs, limit, source.pair_set, source.multiplicity,
-                    source.pair_set.tau0, source.excluded_primes)
-
-
 def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
                            pi_q: DirichletChar, pi_q_prime: DirichletChar,
                            limit: int) -> bool:

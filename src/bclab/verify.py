@@ -64,7 +64,7 @@ def _oracle_primes(limit: int) -> np.ndarray:
             start = (p * p - 3) // 2
             mask[start::p] = bytearray(len(range(start, size, p)))
         i += 1
-    odds = np.array([2 * i + 3 for i in range(size) if mask[i]], dtype=np.int64)
+    odds = np.flatnonzero(np.frombuffer(mask, np.uint8)) * 2 + 3
     return np.concatenate(([2], odds))
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from bclab import __version__
 from bclab.cli import main
 from bclab.config import (
     ConfigError,
@@ -14,6 +15,7 @@ from bclab.config import (
 REPO = Path(__file__).resolve().parent.parent
 THM11 = REPO / "configs" / "thm11.cfg"
 DIHEDRAL = REPO / "configs" / "dihedral.cfg"
+TWIST = REPO / "configs" / "twist.cfg"
 
 
 # -------------------------------------------------------------------- parsing
@@ -61,6 +63,31 @@ def test_limit_rejects_non_finite_or_fractional(value):
         parse_config(f"e_modulus = 5\nlimit = {value}\n")
     with pytest.raises(ConfigError, match="line 1: expected int for checkpoint"):
         parse_config(f"checkpoint = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["pi_tau", "pi_prime_tau"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_tau_rejects_non_finite(key, value):
+    with pytest.raises(ConfigError,
+                       match=f"line 2: expected finite float for {key}"):
+        parse_config(f"e_modulus = 5\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["pi_tau", "pi_prime_tau"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_pnt_rejects_non_finite_tau_before_output(key, value, tmp_path,
+                                                  capsys):
+    cfg = tmp_path / "bad_tau.cfg"
+    text = THM11.read_text().replace(f"{key} = 0.0", f"{key} = {value}")
+    assert f"{key} = {value}" in text
+    cfg.write_text(text)
+    out = tmp_path / "report.json"
+    assert main(["pnt", "--config", str(cfg), "--limit", "1000",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bclab: error: line ")
+    assert f"expected finite float for {key}" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_duplicate_scalar_key():
@@ -114,6 +141,41 @@ def test_rs_subcommand(capsys):
     assert payload["theorem_flags"] == {"thm1_1": True, "thm1_2": False}
     assert payload["T"]["pairs"] == [[0, 0]]
     assert payload["config_sha256"]
+
+
+def _is_prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _bruteforce_rs(n, tau):
+    """(1 + chi5(n))(1 + chi4(n)) n^{i tau} for the pair of configs/thm11.cfg
+    (tau = 0) and configs/twist.cfg (tau = 0.5), at n = p^k with p odd, not 5."""
+    chi5 = 1 if n % 5 in (1, 4) else -1
+    chi4 = 1 if n % 4 == 1 else -1
+    return (1 + chi5) * (1 + chi4) * complex(n) ** (1j * tau)
+
+
+@pytest.mark.parametrize("path,tau", [(THM11, 0.0), (TWIST, 0.5)])
+def test_rs_csv_rows_match_bruteforce(path, tau, tmp_path, capsys):
+    csv = tmp_path / "coeffs.csv"
+    assert main(["rs", "--config", str(path), "--csv", str(csv),
+                 "--limit", "200"]) == 0
+    capsys.readouterr()
+    lines = csv.read_text().splitlines()
+    cfg = parse_config(path.read_text())
+    assert lines[0] == (f"# artifact_version={__version__} "
+                        f"config_sha256={config_hash(cfg)}")
+    assert lines[1] == "n,re_a,im_a"
+    prime_powers = [n for n in range(3, 201)
+                    if n % 2 and n % 5 and _is_prime_power(n)]
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(n) for n, _, _ in rows] == prime_powers
+    for n, re_a, im_a in rows:
+        expected = _bruteforce_rs(int(n), tau)
+        assert abs(complex(float(re_a), float(im_a)) - expected) < 1e-12
 
 
 def test_bc_subcommand(capsys):

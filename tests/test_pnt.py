@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import DirichletChar, trivial_char, unit_group
 from bclab.fields import make_field
 from bclab.automorphic import base_change, trivial_over
-from bclab.rankin_selberg import RsCoeffSource, rs_coefficients
+from bclab.rankin_selberg import RsCoeffSource
 from bclab import pnt
 from bclab.pnt import (
     DirichletSource,
@@ -20,8 +20,8 @@ from bclab.pnt import (
     predicted_main_term,
     psi_sum,
     sieve_primes,
-    source_from_series,
 )
+from bclab.verify import _oracle_primes
 from oracles import psi_per_block
 
 
@@ -36,6 +36,14 @@ def is_prime_slow(n):
 def test_sieve_against_trial_division():
     got = list(sieve_primes(500))
     assert got == [p for p in range(2, 501) if is_prime_slow(p)]
+
+
+def test_verify_oracle_primes_match_sieve():
+    # verify's own odd-only sieve is independent of sieve_primes; they agree
+    for limit in list(range(201)) + [10**6]:
+        got = _oracle_primes(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, sieve_primes(limit)), limit
 
 
 def test_segmented_blocks_cover_all_primes():
@@ -340,16 +348,6 @@ def test_checkpoint_prefix_consistency():
     assert abs(long.psi[0] - short.psi[0]) < 1e-9
 
 
-def test_map_source_adapter():
-    e, f = make_field(5, [4]), make_field(4, [])
-    series = rs_coefficients(trivial_over(e), trivial_over(f), 10_000)
-    src = source_from_series(series)
-    direct = RsCoeffSource(trivial_over(e), trivial_over(f))
-    rep_a = psi_sum(src, 10_000, checkpoints=[10_000])
-    rep_b = psi_sum(direct, 10_000, checkpoints=[10_000])
-    assert abs(rep_a.psi[-1] - rep_b.psi[-1]) < 1e-9
-
-
 # ------------------------------------------------------------------ main term
 
 def test_predicted_main_term_values():
@@ -386,16 +384,6 @@ def test_decay_check_on_double_pole_pair():
                   checkpoints=[1_000, 10_000, 100_000, 1_000_000])
     assert rep.multiplicity == 2
     assert decay_check(rep)
-
-
-def test_psi_accepts_series_table_directly():
-    e, f = make_field(5, [4]), make_field(4, [])
-    series = rs_coefficients(trivial_over(e), trivial_over(f), 10_000)
-    rep = psi_sum(series, 10_000, checkpoints=[10_000])
-    direct = psi_sum(RsCoeffSource(trivial_over(e), trivial_over(f)),
-                     10_000, checkpoints=[10_000])
-    assert rep.multiplicity == 1
-    assert abs(rep.psi[-1] - direct.psi[-1]) < 1e-9
 
 
 def test_decay_check_needs_enough_checkpoints():

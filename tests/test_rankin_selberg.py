@@ -8,12 +8,12 @@ from bclab.characters import DirichletChar, trivial_char, unit_group
 from bclab.config import parse_config
 from bclab.fields import make_field
 from bclab.automorphic import base_change, trivial_over
+from bclab.pnt import sieve_primes
 from bclab.rankin_selberg import (
     RsCoeffSource,
     conjugation_swap_consistent,
     pole_multiplicity,
     ramified_primes,
-    rs_coefficients,
     thm1_1_applies,
     thm1_2_applies,
     twist_absorption_check,
@@ -86,26 +86,37 @@ def test_theorem_flags():
 
 # -------------------------------------------------------------- coefficients
 
+def prime_power_coeffs(src, limit):
+    """(p^k, a(p^k)) for every prime power p^k <= limit off the excluded
+    primes, from coeff_at."""
+    primes = np.array([p for p in sieve_primes(limit).tolist()
+                       if p not in src.excluded_primes], dtype=np.int64)
+    out = []
+    k = 1
+    while primes.size:
+        out += zip((primes ** k).tolist(), src.coeff_at(primes, k).tolist())
+        k += 1
+        primes = primes[primes ** k <= limit]
+    return out
+
+
 def test_rs_coefficient_values():
-    series = rs_coefficients(trivial_over(sqrt5()), trivial_over(gaussian()),
-                             100)
-    assert abs(series.coefficients[3]) < 1e-12        # inert in both fields
-    assert abs(series.coefficients[41] - 4) < 1e-12   # split in both fields
-    assert series.multiplicity == 1
-    assert 2 not in series.coefficients               # ramified, excluded
-    assert 5 not in series.coefficients
+    src = RsCoeffSource(trivial_over(sqrt5()), trivial_over(gaussian()))
+    a3, a41 = src.coeff_at(np.array([3, 41]))
+    assert abs(a3) < 1e-12                # inert in both fields
+    assert abs(a41 - 4) < 1e-12           # split in both fields
+    assert src.multiplicity == 1
+    assert 2 in src.excluded_primes       # ramified, excluded
+    assert 5 in src.excluded_primes
 
 
 def test_rs_zeta_square():
     q = make_field(1, [])
-    series = rs_coefficients(trivial_over(q), trivial_over(q), 50)
-    for n, v in series.coefficients.items():
+    src = RsCoeffSource(trivial_over(q), trivial_over(q))
+    coeffs = prime_power_coeffs(src, 50)
+    assert coeffs
+    for n, v in coeffs:
         assert abs(v - 1) < 1e-14
-
-
-def test_rs_limit_validation():
-    with pytest.raises(ValueError):
-        rs_coefficients(trivial_over(sqrt5()), trivial_over(gaussian()), 1)
 
 
 def test_ramified_primes_of_pair():
@@ -115,8 +126,7 @@ def test_ramified_primes_of_pair():
 
 def test_hermitian_positivity():
     pi = base_change(theta(), sqrt5())
-    series = rs_coefficients(pi, pi, 500)
-    for n, v in series.coefficients.items():
+    for n, v in prime_power_coeffs(RsCoeffSource(pi, pi), 500):
         assert abs(v.imag) < 1e-12
         assert v.real >= -1e-12
 
@@ -124,9 +134,8 @@ def test_hermitian_positivity():
 def test_coefficient_bound_l_times_lprime():
     pi = trivial_over(make_field(5, []))
     pi_prime = trivial_over(make_field(7, [6]))
-    series = rs_coefficients(pi, pi_prime, 300)
     bound = pi.field.degree * pi_prime.field.degree
-    for v in series.coefficients.values():
+    for n, v in prime_power_coeffs(RsCoeffSource(pi, pi_prime), 300):
         assert abs(v) <= bound + 1e-9
 
 
