@@ -25,6 +25,7 @@ from .characters import (
     SubgroupChar,
     extensions,
     restrict_char,
+    trivial_char,
 )
 from .fields import AbelianField, order_mod_subgroup
 
@@ -115,8 +116,7 @@ def cuspidal_over(field: AbelianField, omega: SubgroupChar, tau: float = 0.0,
 
 
 def trivial_over(field: AbelianField, tau: float = 0.0) -> GalHeckeChar:
-    omega = SubgroupChar(field.ambient,
-                         {u: Fraction(0) for u in field.subgroup}, check=False)
+    omega = restrict_char(trivial_char(field.modulus), field.subgroup)
     return GalHeckeChar(field, omega, float(tau))
 
 
@@ -135,20 +135,12 @@ def base_change(source, field: AbelianField, tau: float | None = None
                 f"incompatible moduli: source mod {source.field.modulus}, "
                 f"target mod {field.modulus}"
             )
-        lifted = source.field.lift_to(field.ambient)
-        omega_big = SubgroupChar(
-            field.ambient,
-            {u: source.omega.angle(u % source.field.modulus)
-             for u in lifted.subgroup},
-            check=False,
-        )
-        if not field.subgroup <= omega_big.elements:
+        if not field.subgroup <= source.field.lift_to(field.ambient).subgroup:
             raise ValueError("target field is not an extension of the source's")
-        return GalHeckeChar(field, omega_big.restrict(field.subgroup),
-                            source.tau)
-    chi: DirichletChar = source
-    chi = chi.lift_to(field.ambient) if chi.modulus != field.modulus else chi
-    omega = restrict_char(chi, field.subgroup)
+        chi, tau = extensions(source.omega, source.field.ambient)[0], source.tau
+    else:
+        chi = source
+    omega = restrict_char(chi.lift_to(field.ambient), field.subgroup)
     return GalHeckeChar(field, omega, float(tau or 0.0))
 
 

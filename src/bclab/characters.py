@@ -7,9 +7,12 @@ power.  A discrete log mod M joins the local ones and is memoized, so a
 group at a large modulus costs only the residues actually asked about.
 Every character is an integer exponent vector and every character value is
 an exact root of unity: an integer exponent of zeta_N (a rational angle
-at the public boundary), never a float.  Characters compare equal exactly
-when they induce the same primitive character; the ambient modulus is
-bookkeeping only.
+at the public boundary), never a float.  A Dirichlet character carries its
+exponents on the generators of (Z/MZ)^x and compares equal exactly when it
+induces the same primitive character; the ambient modulus is bookkeeping
+only.  A character of a subgroup H carries its exponents on the generators
+of H: it is one restriction class of the dual group, the fiber that base
+change collapses and automorphic induction recovers.
 
 All objects here are immutable after construction, apart from their caches,
 and safe to share.
@@ -23,7 +26,7 @@ from itertools import product as iter_product
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .cyclotomic import normalize_angle, angle_to_complex
+from .cyclotomic import angle_to_complex
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -498,10 +501,14 @@ def _restriction_classes(group: UnitGroup, elements: frozenset[int]
     """Generators of H, and the dual group bucketed by restriction to H.
 
     A character of H is fixed by its values on the generators, so the bucket
-    key is the tuple of group exponents there.  Buckets, and the characters
-    inside each, keep the dual group's enumeration order.  Callers must not
-    mutate the cached buckets.
+    key is the tuple of group exponents there, and each bucket is one
+    character of H.  Buckets, and the characters inside each, keep the dual
+    group's enumeration order.  Raises ValueError unless the residues in
+    [0, M) given are a subgroup.  Callers must not mutate the cached buckets.
     """
+    if closure(group, elements) != elements:
+        raise ValueError(
+            f"H is not closed under multiplication mod {group.modulus}")
     gens = tuple(_subgroup_generators(group, elements))
     classes: dict[tuple[int, ...], list[DirichletChar]] = {}
     for chi in _dual_cache(group):
@@ -515,76 +522,57 @@ class SubgroupChar:
 
     This is the restriction-side object of GL(1) base change: characters of
     the ambient group restrict to these, and extensions() recovers the full
-    fiber of characters lying above one.
+    fiber of characters lying above one.  It is held as its restriction
+    class: `exponents` are the group exponents of its values on H's
+    generators, and its values are read from the first character of the
+    ambient group in that class.
+
+    `SubgroupChar(group, angles)` builds one from the angle of every element
+    of H, reduced mod 1, and raises ValueError unless they are a
+    homomorphism on a subgroup.
     """
 
-    __slots__ = ("group", "elements", "angles", "_key")
+    __slots__ = ("group", "elements", "exponents", "_member")
 
-    def __init__(self, group: UnitGroup, angles: dict[int, Fraction],
-                 check: bool = True):
+    def __init__(self, group: UnitGroup, angles: dict[int, Fraction]):
         m = group.modulus
-        elements = frozenset(u % m for u in angles)
-        angles = {u % m: q if 0 <= q.numerator < q.denominator
-                  else normalize_angle(q) for u, q in angles.items()}
-        if check:
-            if 1 % m not in elements:
-                raise ValueError("subgroup must contain 1")
-            for u in elements:
-                if not group.is_unit(u):
-                    raise ValueError(f"{u} is not a unit modulo {m}")
-            for a in elements:
-                for b in elements:
-                    ab = a * b % m
-                    if ab not in elements:
-                        raise ValueError(
-                            f"H is not closed under multiplication: "
-                            f"{a}*{b} = {ab} mod {m} escapes"
-                        )
-                    if normalize_angle(angles[a] + angles[b]) != angles[ab]:
-                        raise ValueError(
-                            f"values are not a homomorphism at {a}*{b} mod {m}"
-                        )
-        self.group = group
-        self.elements = elements
-        self.angles = angles
-        self._key = None
+        angles = {u % m: q % 1 for u, q in angles.items()}
+        elements = frozenset(angles)
+        if 1 % m not in elements:
+            raise ValueError("subgroup must contain 1")
+        gens, classes = _restriction_classes(group, elements)
+        key = [angles[h] * group.exponent for h in gens]
+        exponents = tuple(a.numerator for a in key)
+        bucket = (classes.get(exponents)
+                  if all(a.denominator == 1 for a in key) else None)
+        if bucket is None or any(bucket[0].angle(u) != q
+                                 for u, q in angles.items()):
+            raise ValueError(f"values are not a homomorphism on H mod {m}")
+        self.group, self.elements, self.exponents = group, elements, exponents
+        self._member = bucket[0]
 
     @property
     def order(self) -> int:
-        return lcm(*[q.denominator for q in self.angles.values()])
+        n = self.group.exponent
+        return lcm(*[n // gcd(n, a) for a in self.exponents])
 
     @property
     def is_trivial(self) -> bool:
-        return all(q == 0 for q in self.angles.values())
+        return not any(self.exponents)
 
     def angle(self, u: int) -> Fraction:
-        r = u % self.group.modulus
-        if r not in self.angles:
+        if u % self.group.modulus not in self.elements:
             raise ValueError(
                 f"{u} is not in the subgroup mod {self.group.modulus}"
             )
-        return self.angles[r]
-
-    def value(self, u: int) -> complex:
-        return angle_to_complex(self.angle(u))
+        return self._member.angle(u)
 
     def conjugate(self) -> "SubgroupChar":
-        return SubgroupChar(
-            self.group, {u: -q for u, q in self.angles.items()}, check=False
-        )
-
-    def restrict(self, elements) -> "SubgroupChar":
-        sub = frozenset(u % self.group.modulus for u in elements)
-        if not sub <= self.elements:
-            raise ValueError("restriction target is not contained in H")
-        return SubgroupChar(self.group, {u: self.angles[u] for u in sub})
+        return restrict_char(self._member.conjugate(), self.elements)
 
     @property
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = (self.group.modulus,
-                         tuple(sorted(self.angles.items())))
-        return self._key
+        return (self.group.modulus, self.elements, self.exponents)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SubgroupChar) and other.key == self.key
@@ -597,36 +585,40 @@ class SubgroupChar:
                 f"|H|={len(self.elements)}, order {self.order})")
 
 
+def _subgroup_char(group: UnitGroup, elements: frozenset[int],
+                   exponents: tuple[int, ...], member: DirichletChar
+                   ) -> SubgroupChar:
+    """The character of H whose restriction class has these exponents and
+    this first member, unchecked."""
+    omega = object.__new__(SubgroupChar)
+    omega.group, omega.elements, omega.exponents = group, elements, exponents
+    omega._member = member
+    return omega
+
+
 def restrict_char(chi: DirichletChar, subgroup) -> SubgroupChar:
     """Restriction of chi to a subgroup H of its own unit group."""
     group = chi.group
-    elements = closure(group, subgroup)
-    given = frozenset(u % group.modulus for u in subgroup)
-    if given | {1 % group.modulus} != elements:
-        raise ValueError("H is not closed under multiplication")
-    n = group.exponent
-    return SubgroupChar(group, {u: _angle(chi.group_exponent(u), n)
-                                for u in elements}, check=False)
+    m = group.modulus
+    elements = frozenset(u % m for u in subgroup) | {1 % m}
+    gens, classes = _restriction_classes(group, elements)
+    key = tuple(chi.group_exponent(h) for h in gens)
+    return _subgroup_char(group, elements, key, classes[key][0])
 
 
 def extensions(omega: SubgroupChar, group: UnitGroup) -> list[DirichletChar]:
     """All characters of the full group restricting to omega on H.
 
     There are exactly [G:H] of them: one particular extension multiplied by
-    every character trivial on H.  They are the bucket of the dual group
-    whose values on H's generators are omega's, looked up in the cached
-    restriction classes of H; a value of omega that is no power of zeta_N
-    (N the group exponent) has no extension at all.
+    every character trivial on H.  They are omega's restriction class, the
+    bucket of the dual group whose values on H's generators are omega's.
     """
     if omega.group != group:
         raise ValueError(
             f"omega lives mod {omega.group.modulus}, group is mod {group.modulus}"
         )
-    gens, classes = _restriction_classes(group, omega.elements)
-    target = [omega.angle(h) * group.exponent for h in gens]
-    found = []
-    if all(a.denominator == 1 for a in target):
-        found = list(classes.get(tuple(a.numerator for a in target), ()))
+    _, classes = _restriction_classes(group, omega.elements)
+    found = list(classes[omega.exponents])
     index = group.order // len(omega.elements)
     if len(found) != index:
         raise ArithmeticError(
@@ -636,13 +628,11 @@ def extensions(omega: SubgroupChar, group: UnitGroup) -> list[DirichletChar]:
 
 
 def subgroup_characters(group: UnitGroup, elements) -> list[SubgroupChar]:
-    """All |H| characters of the subgroup H, via restriction from the dual."""
+    """All |H| characters of the subgroup H, one per restriction class."""
     sub = closure(group, elements)
     _, classes = _restriction_classes(group, sub)
-    n = group.exponent
-    out = [SubgroupChar(group, {u: _angle(bucket[0].group_exponent(u), n)
-                                for u in sub}, check=False)
-           for bucket in classes.values()]
+    out = [_subgroup_char(group, sub, key, bucket[0])
+           for key, bucket in classes.items()]
     if len(out) != len(sub):
         raise ArithmeticError("dual of subgroup has the wrong size")
     return out

@@ -55,6 +55,12 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return parse_config(text)
 
 
+def _require_at_least_two(flag: str, value: int) -> None:
+    """A table of primes up to a bound below 2 would be empty."""
+    if value < 2:
+        raise UsageError(f"{flag} must be at least 2, got {value}")
+
+
 def _stamp(cfg: ExperimentConfig | None) -> dict:
     return {
         "artifact_version": __version__,
@@ -104,6 +110,7 @@ def cmd_field(args) -> int:
     from .fields import splitting_table
 
     cfg = _load_config(args.config)
+    _require_at_least_two("--pmax", args.pmax)
     field = cfg.field_e() if args.which == "e" else cfg.field_f()
     rows = splitting_table(field, args.pmax)
     lines = [f"# artifact_version={__version__} config_sha256={config_hash(cfg)}",
@@ -152,6 +159,7 @@ def cmd_coeffs(args) -> int:
     from .pnt import sieve_primes
 
     cfg = _load_config(args.config)
+    _require_at_least_two("--limit", args.limit)
     pi = cfg.pi() if args.which == "pi" else cfg.pi_prime()
     limit = args.limit
     rows = []
@@ -184,9 +192,8 @@ def cmd_rs(args) -> int:
                                  thm1_2_applies, twisted_pairs)
 
     cfg = _load_config(args.config)
-    if args.csv and args.limit < 2:
-        raise UsageError(
-            f"--limit for --csv must be at least 2, got {args.limit}")
+    if args.csv:
+        _require_at_least_two("--limit for --csv", args.limit)
     _check_output_dirs(args.out, args.csv)
     pi = cfg.pi()
     pi_prime = cfg.pi_prime()

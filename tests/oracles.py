@@ -3,9 +3,10 @@
 Each one is written the slow, obvious way: unit groups with a full
 discrete-log table at the modulus, characters evaluated through Fraction
 angles with the conductor found by a divisor search, closures by
-breadth-first multiplication, extensions by scanning the whole dual group
-and comparing angles on every element of H, tower labels by structural keys.
-The tests compare the library's kernels against them.
+breadth-first multiplication, subgroup characters as plain angle maps
+checked pairwise on every product in H, extensions by scanning the whole
+dual group and comparing angles on every element of H, tower labels by
+structural keys.  The tests compare the library's kernels against them.
 
 For the analytic layer, `psi_per_block` is psi_sum's frozen per-block path:
 every report block sieved on its own, with the same partial-sum formula, so
@@ -19,7 +20,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from bclab.characters import DirichletChar, SubgroupChar, dual_group, factorize
+from bclab.characters import DirichletChar, dual_group, factorize
 from bclab.pnt import DEFAULT_CHUNK, PrimePowerStream, sieve_primes
 
 
@@ -221,14 +222,31 @@ def subgroup_generators_oracle(group, elements):
 
 
 def subgroup_characters_oracle(group, elements):
-    """Restrictions of the whole dual group, first occurrence kept."""
+    """Restrictions of the whole dual group as angle maps {u: angle} on H,
+    first occurrence kept."""
     sub = closure_bfs(group.modulus, elements)
     seen = {}
     for chi in dual_group(group):
-        omega = SubgroupChar(group, {u: chi.group_angle(u) for u in sub},
-                             check=False)
-        seen.setdefault(omega.key, omega)
+        angles = {u: chi.group_angle(u) for u in sub}
+        seen.setdefault(tuple(sorted(angles.items())), angles)
     return list(seen.values())
+
+
+def is_subgroup_char_oracle(group, angles):
+    """Whether the map {u: angle} is a homomorphism from a subgroup of
+    (Z/mZ)^x into the roots of unity: residues and angles reduced, 1 and
+    only units present, every product of two elements present, and the
+    angles adding up along every product."""
+    m = group.modulus
+    angles = {u % m: q % 1 for u, q in angles.items()}
+    if 1 % m not in angles or any(gcd(u, m) != 1 for u in angles):
+        return False
+    for a in angles:
+        for b in angles:
+            ab = a * b % m
+            if ab not in angles or (angles[a] + angles[b]) % 1 != angles[ab]:
+                return False
+    return True
 
 
 def restrict_char_oracle(chi, elements):

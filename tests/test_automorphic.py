@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from bclab.characters import (
     DirichletChar,
+    all_subgroups,
+    subgroup_characters,
     trivial_char,
     unit_group,
 )
 from bclab.cyclotomic import RootContext
-from bclab.fields import make_field, rationals, tower
+from bclab.fields import AbelianField, make_field, rationals, tower
 from bclab.automorphic import (
+    GalHeckeChar,
     IsobaricSum,
     automorphic_induction,
     base_change,
@@ -60,6 +63,45 @@ def test_base_change_transitivity_along_tower():
     direct = base_change(theta(), full)
     stepped = base_change(base_change(theta(), mid), full)
     assert stepped == direct
+
+
+def test_base_change_of_field_object_rejects_bad_targets():
+    pi = base_change(theta(), sqrt5(), tau=0.25)
+    with pytest.raises(ValueError, match="tau is carried by the source"):
+        base_change(pi, make_field(5, []), tau=0.25)
+    with pytest.raises(ValueError, match="incompatible moduli"):
+        base_change(pi, make_field(7, []))
+    with pytest.raises(ValueError, match="not an extension"):
+        base_change(pi, make_field(15, [2]))
+
+
+def test_base_change_of_field_object_matches_its_fiber():
+    # every character over every field mod m <= 12, into every field mod m,
+    # 2m and 3m: an extension gets the base change of each fiber member,
+    # any other target is refused
+    refused = 0
+    for m in range(1, 13):
+        g = unit_group(m)
+        for sub in all_subgroups(g):
+            source = AbelianField(g, sub)
+            for omega in subgroup_characters(g, sub):
+                pi = GalHeckeChar(source, omega, 0.5)
+                fiber = bc_fiber(pi)
+                for target_modulus in (m, 2 * m, 3 * m):
+                    gt = unit_group(target_modulus)
+                    for target_sub in all_subgroups(gt):
+                        target = AbelianField(gt, target_sub)
+                        if all(u % m in sub for u in target_sub):
+                            got = base_change(pi, target)
+                            assert got.tau == 0.5
+                            for chi, tau in fiber:
+                                assert got == base_change(chi, target, tau)
+                        else:
+                            with pytest.raises(ValueError,
+                                               match="not an extension"):
+                                base_change(pi, target)
+                            refused += 1
+    assert refused > 0
 
 
 def test_rank_guard():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +26,7 @@ from oracles import (
     all_subgroups_oracle,
     closure_bfs,
     extensions_oracle,
+    is_subgroup_char_oracle,
     restrict_char_oracle,
     subgroup_characters_oracle,
     subgroup_generators_oracle,
@@ -39,6 +40,10 @@ def phi_brute(m):
 def theta():
     # quartic character mod 5 with theta(2) = i
     return DirichletChar(unit_group(5), [1])
+
+
+def angle_map(omega):
+    return {u: omega.angle(u) for u in omega.elements}
 
 
 # ---------------------------------------------------------------- unit groups
@@ -336,9 +341,9 @@ def test_restrict_char_matches_fraction_oracle():
         for sub in all_subgroups(g):
             for omega in subgroup_characters(g, sub):
                 for chi in extensions(omega, g)[:2]:
-                    got = restrict_char(chi, sub).angles
+                    got = angle_map(restrict_char(chi, sub))
                     assert got == restrict_char_oracle(chi, sub) == \
-                        omega.angles
+                        angle_map(omega)
                     assert all(type(q) is Fraction and 0 <= q < 1
                                for q in got.values())
 
@@ -348,7 +353,7 @@ def test_subgroup_char_reduces_angles_mod_one():
     for one, q in ((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(-1, 2)),
                    (Fraction(2), Fraction(3, 2))):
         omega = SubgroupChar(g, {1: one, 4: q})
-        assert omega.angles == {1: 0, 4: Fraction(1, 2)}
+        assert angle_map(omega) == {1: 0, 4: Fraction(1, 2)}
     assert SubgroupChar(g, {1: 0, 4: Fraction(1, 2)}).conjugate() == omega
 
 
@@ -367,19 +372,11 @@ def test_extensions_match_dual_scan_oracle():
         g = unit_group(m)
         for sub in all_subgroups(g):
             omegas = subgroup_characters(g, sub)
-            assert [o.key for o in omegas] == \
-                [o.key for o in subgroup_characters_oracle(g, sub)]
+            assert [angle_map(o) for o in omegas] == \
+                subgroup_characters_oracle(g, sub)
             for omega in omegas:
                 assert [c.exponents for c in extensions(omega, g)] == \
                     [c.exponents for c in extensions_oracle(omega, g)]
-
-
-def test_extensions_reject_values_outside_the_group_exponent():
-    # exponent of (Z/5Z)^x is 4, so a value of angle 1/3 extends nowhere
-    g = unit_group(5)
-    omega = SubgroupChar(g, {1: Fraction(0), 4: Fraction(1, 3)}, check=False)
-    with pytest.raises(ArithmeticError, match="expected 2 extensions, found 0"):
-        extensions(omega, g)
 
 
 def test_extensions_return_a_fresh_list():
@@ -387,6 +384,74 @@ def test_extensions_return_a_fresh_list():
     omega = restrict_char(trivial_char(5), [1, 4])
     extensions(omega, g).clear()
     assert len(extensions(omega, g)) == 2
+
+
+def _constructor_inputs(g):
+    """Angle maps to hand to SubgroupChar: every character of every subgroup,
+    each with one non-identity angle shifted by 1/N and by 1/(2N) (N the
+    group exponent), and maps on sets that are not subgroups."""
+    m, n = g.modulus, g.exponent
+    for sub in all_subgroups(g):
+        outside = [u for u in g.units if u not in sub]
+        for angles in subgroup_characters_oracle(g, sub):
+            yield angles
+            for u in sorted(sub - {1 % m}):
+                for shift in (Fraction(1, n), Fraction(1, 2 * n)):
+                    yield angles | {u: angles[u] + shift}
+            for u in sorted(sub - {1 % m})[:2]:
+                yield {v: q for v, q in angles.items() if v != u}
+            for u in outside[:3]:
+                yield angles | {u: Fraction(0)}
+            yield {v: q for v, q in angles.items() if v != 1 % m}
+    if m > 1:
+        yield {1: Fraction(0), 0: Fraction(0)}  # closed, but 0 is no unit
+
+
+def test_subgroup_char_accepts_exactly_the_oracle_homomorphisms():
+    accepted = rejected = 0
+    for m in range(1, 25):
+        g = unit_group(m)
+        for angles in _constructor_inputs(g):
+            if is_subgroup_char_oracle(g, angles):
+                omega = SubgroupChar(g, angles)
+                assert angle_map(omega) == {u: q % 1
+                                            for u, q in angles.items()}
+                accepted += 1
+            else:
+                with pytest.raises(ValueError):
+                    SubgroupChar(g, angles)
+                rejected += 1
+    assert accepted > 0 and rejected > accepted
+
+
+def test_subgroup_char_properties_match_angle_maps():
+    # every omega with m <= 40 against its angle map from the oracle
+    for m in range(1, 41):
+        g = unit_group(m)
+        index = {}
+        maps = set()
+        for sub in all_subgroups(g):
+            omegas = subgroup_characters(g, sub)
+            angle_maps = subgroup_characters_oracle(g, sub)
+            for omega, angles in zip(omegas, angle_maps, strict=True):
+                frozen = frozenset(angles.items())
+                conj = {u: -q % 1 for u, q in angles.items()}
+                assert angle_map(omega.conjugate()) == conj
+                assert omega.order == lcm(*[q.denominator
+                                            for q in angles.values()])
+                assert omega.is_trivial == all(q == 0
+                                               for q in angles.values())
+                again = SubgroupChar(g, angles)
+                assert again == omega and hash(again) == hash(omega)
+                assert omega.conjugate() == SubgroupChar(g, conj)
+                index[omega] = frozen
+                maps.add(frozen)
+            for a, qa in zip(omegas, angle_maps):
+                for b, qb in zip(omegas, angle_maps):
+                    assert (a == b) == (qa == qb)
+        assert len(index) == len(maps)
+        assert all(index[SubgroupChar(g, dict(frozen))] == frozen
+                   for frozen in maps)
 
 
 def test_subgroups_and_generators_match_closure_growth():

@@ -381,6 +381,26 @@ def test_rs_rejects_small_csv_limit_before_output(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("bound", ["-5", "0", "1"])
+@pytest.mark.parametrize("command,flag", [("coeffs", "--limit"),
+                                          ("field", "--pmax")])
+def test_prime_tables_reject_bounds_below_two(command, flag, bound,
+                                              tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    _assert_usage_error([command, "--config", str(THM11), flag, bound,
+                         "--out", str(out)], capsys,
+                        f"{flag} must be at least 2, got {bound}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,row", [("coeffs", "--limit", "2,"),
+                                              ("field", "--pmax", "2,2,1,0")])
+def test_prime_tables_accept_bound_two(command, flag, row, capsys):
+    assert main([command, "--config", str(THM11), flag, "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2].startswith(row)
+
+
 @pytest.mark.parametrize("argv", [["--l", "0", "--lprime", "3"],
                                   ["--l", "2", "--lprime", "-1"]])
 def test_count_rejects_degree_below_one(argv, capsys):
