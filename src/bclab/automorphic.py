@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .characters import (
     DirichletChar,
     SubgroupChar,
+    _angle,
     extensions,
     restrict_char,
     trivial_char,
@@ -180,8 +181,8 @@ def coeff_data_over_e(pi: GalHeckeChar, p: int, j: int
     k = j // f_p
     g_p = pi.field.degree // f_p
     frob = pow(p, f_p, m) if m > 1 else 0
-    angle = (pi.omega.angle(frob) * k) % 1
-    return f_p * g_p, angle
+    a, level = pi.omega.value_exponent(frob)
+    return f_p * g_p, _angle(a * k % level, level)
 
 
 def coeff_angles_over_q(sum_: IsobaricSum, p: int, j: int) -> list[Fraction]:

@@ -24,7 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd, lcm, prod
+from numbers import Rational
 from typing import NamedTuple
+
+import numpy as np
 
 from .cyclotomic import angle_to_complex
 
@@ -165,6 +168,24 @@ def _local_group(p: int, e: int) -> _LocalGroup:
             f"generator set mod {q} does not span the unit group"
         )
     return _LocalGroup(p, e, q, gens, lcm(*[o for _, o in gens]), table)
+
+
+@lru_cache(maxsize=None)
+def _local_dlog_array(p: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array view of `_local_group(p, e).dlog_table`: a unit flag for every
+    residue mod q = p^e, and its exponent vector as a row (zero at the
+    non-units).  Both arrays are read-only."""
+    local = _local_group(p, e)
+    table = local.dlog_table
+    units = np.fromiter(table, dtype=np.int64, count=len(table))
+    is_unit = np.zeros(local.q, dtype=bool)
+    is_unit[units] = True
+    vecs = np.zeros((local.q, len(local.generators)), dtype=np.int64)
+    vecs[units] = np.array(list(table.values()), dtype=np.int64
+                           ).reshape(len(table), -1)
+    is_unit.flags.writeable = False
+    vecs.flags.writeable = False
+    return is_unit, vecs
 
 
 @lru_cache(maxsize=None)
@@ -358,6 +379,36 @@ class DirichletChar:
             self._value_cache[r] = a
             return a
 
+    def exponents_at(self, n) -> np.ndarray:
+        """`primitive_exponent` over an integer array: int64 exponents on the
+        primitive character's group exponent N, and -1 where chi(n) = 0.
+
+        One gather per local factor of the primitive group, from the cached
+        local discrete-log tables.  Each term x * e is reduced mod its
+        generator order o before it is scaled by N // o, so every partial
+        sum stays below (number of generators) * N; OverflowError when that
+        bound does not fit in int64.
+        """
+        prim = self.primitive()
+        group = prim.group
+        level = group.exponent
+        if level * len(group.generators) >= 2 ** 63:
+            raise OverflowError(
+                f"exponents at level {level} do not fit in int64")
+        n = np.asarray(n, dtype=np.int64)
+        out = np.zeros(n.shape, dtype=np.int64)
+        is_unit = np.ones(n.shape, dtype=bool)
+        exps = iter(prim.exponents)
+        for local in group._locals:
+            flags, vecs = _local_dlog_array(local.p, local.e)
+            r = n % local.q
+            is_unit &= flags[r]
+            for col, (_, o) in enumerate(local.generators):
+                out += vecs[r, col] * next(exps) % o * (level // o)
+        out %= level
+        out[~is_unit] = -1
+        return out
+
     def angle(self, n: int) -> Fraction | None:
         """Angle of chi(n) in [0,1), or None when the value is zero."""
         a = self.primitive_exponent(n)
@@ -527,8 +578,9 @@ class SubgroupChar:
     generators, and its values are read from the first character of the
     ambient group in that class.
 
-    `SubgroupChar(group, angles)` builds one from the angle of every element
-    of H, reduced mod 1, and raises ValueError unless they are a
+    `SubgroupChar(group, angles)` builds one from the rational angle of
+    every element of H, reduced mod 1.  It raises TypeError for an angle
+    that is not rational, and ValueError unless the angles are a
     homomorphism on a subgroup.
     """
 
@@ -536,6 +588,9 @@ class SubgroupChar:
 
     def __init__(self, group: UnitGroup, angles: dict[int, Fraction]):
         m = group.modulus
+        for u, q in angles.items():
+            if not isinstance(q, Rational):
+                raise TypeError(f"angle {q!r} at {u} is not a rational number")
         angles = {u % m: q % 1 for u, q in angles.items()}
         elements = frozenset(angles)
         if 1 % m not in elements:
@@ -560,12 +615,18 @@ class SubgroupChar:
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
-    def angle(self, u: int) -> Fraction:
+    def value_exponent(self, u: int) -> tuple[int, int]:
+        """(a, N) with omega(u) = zeta_N^a, N the group exponent of the
+        primitive character of the class's first member."""
         if u % self.group.modulus not in self.elements:
             raise ValueError(
                 f"{u} is not in the subgroup mod {self.group.modulus}"
             )
-        return self._member.angle(u)
+        member = self._member
+        return member.primitive_exponent(u), member.primitive().group.exponent
+
+    def angle(self, u: int) -> Fraction:
+        return _angle(*self.value_exponent(u))
 
     def conjugate(self) -> "SubgroupChar":
         return restrict_char(self._member.conjugate(), self.elements)

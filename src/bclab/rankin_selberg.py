@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -131,15 +132,39 @@ class RsCoeffSource:
         return vals
 
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(level: int) -> np.ndarray:
+    """exp(2 pi i a / level) for a in [0, level), then a 0 at index level, so
+    a gather at exponent -1 (a zero value) reads 0.  Read-only."""
+    roots = np.array([cmath.exp(2j * cmath.pi * (a / level))
+                      for a in range(level)] + [0j], dtype=np.complex128)
+    roots.flags.writeable = False
+    return roots
+
+
 def _fiber_residue_table(fiber, modulus: int) -> np.ndarray:
-    table = np.zeros((len(fiber), modulus), dtype=np.complex128)
+    """Row i holds chi_i(r) for every residue r mod `modulus`: one
+    `exponents_at` over all residues per fiber character, gathered from
+    the roots of unity at its primitive group exponent (0 where chi_i(r)
+    = 0).  Each root is the scalar `cmath.exp(2j * pi * (a / N))`."""
+    residues = np.arange(modulus, dtype=np.int64)
+    table = np.empty((len(fiber), modulus), dtype=np.complex128)
     for row, (chi, _) in enumerate(fiber):
-        level = chi.primitive().group.exponent
-        for r in range(modulus):
-            a = chi.primitive_exponent(r)
-            if a is not None:
-                table[row, r] = cmath.exp(2j * cmath.pi * (a / level))
+        roots = _roots_of_unity(chi.primitive().group.exponent)
+        table[row] = roots[chi.exponents_at(residues)]
     return table
+
+
+def _prime_powers(limit: int, excluded) -> np.ndarray:
+    """Every prime power p^k <= limit with p outside `excluded`, as int64."""
+    primes = sieve_primes(limit)
+    base = primes[~np.isin(primes, sorted(excluded))]
+    parts = [base]
+    while parts[-1].size:
+        keep = parts[-1] <= limit // base
+        base = base[keep]
+        parts.append(parts[-1][keep] * base)
+    return np.concatenate(parts)
 
 
 def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
@@ -151,9 +176,13 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     Both sides are computed independently as products of primitive character
     values; primes dividing any conductor involved are excluded consistently.
     Each value is the integer exponent a of chi(n) = zeta_N^a on its
-    primitive character's group exponent N, scaled to the lcm L of the four
-    N, so the comparison is exact integer arithmetic mod L.  Returns True
-    only on exact agreement at every remaining p^k <= limit.
+    primitive character's group exponent N (`exponents_at`, over every
+    remaining p^k <= limit at once), scaled to the lcm L of the four N, so
+    the comparison is exact integer arithmetic mod L.  The scaled
+    combination lies in (-2L, 2L): it is formed in int64 when 2L < 2^63
+    and in Python integers otherwise, so the result is exact at any level.
+    Returns True only when the zero patterns agree and the exponents agree
+    mod L at every remaining p^k <= limit.
     """
     left_a = pi_q * chi
     left_b = pi_q_prime * xi
@@ -162,28 +191,19 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     bad = lcm(chi.conductor, xi.conductor,
               pi_q.conductor, pi_q_prime.conductor)
     excluded = {p for p, _ in factorize(bad)}
-    levels = [c.primitive().group.exponent
-              for c in (left_a, left_b, right_a, right_b)]
+    chars = (left_a, left_b, right_a, right_b)
+    levels = [c.primitive().group.exponent for c in chars]
     level = lcm(*levels)
-    sa, sb, ta, tb = (level // n for n in levels)
-    for p in sieve_primes(limit).tolist():
-        if p in excluded:
-            continue
-        n = p
-        while n <= limit:
-            la = left_a.primitive_exponent(n)
-            lb = left_b.primitive_exponent(n)
-            ra = right_a.primitive_exponent(n)
-            rb = right_b.primitive_exponent(n)
-            left_zero = la is None or lb is None
-            right_zero = ra is None or rb is None
-            if left_zero != right_zero:
-                return False
-            if not left_zero and \
-                    (la * sa - lb * sb - ra * ta + rb * tb) % level:
-                return False
-            n *= p
-    return True
+    n = _prime_powers(limit, excluded)
+    la, lb, ra, rb = (c.exponents_at(n) for c in chars)
+    left_zero = (la < 0) | (lb < 0)
+    if np.any(left_zero != ((ra < 0) | (rb < 0))):
+        return False
+    live = ~left_zero
+    dtype = np.int64 if 2 * level < 2 ** 63 else object
+    sa, sb, ta, tb = (level // v for v in levels)
+    la, lb, ra, rb = (a[live].astype(dtype) for a in (la, lb, ra, rb))
+    return not np.any((la * sa - lb * sb - ra * ta + rb * tb) % level)
 
 
 def conjugation_swap_consistent(pi: GalHeckeChar, pi_prime: GalHeckeChar,

@@ -8,11 +8,17 @@ checked pairwise on every product in H, extensions by scanning the whole
 dual group and comparing angles on every element of H, tower labels by
 structural keys.  The tests compare the library's kernels against them.
 
+The array kernel `DirichletChar.exponents_at` has its per-integer
+references here too: `twist_absorption_per_prime` and
+`fiber_residue_table_loop` call the scalar `primitive_exponent` once per
+prime power or residue, in Python integers.
+
 For the analytic layer, `psi_per_block` is psi_sum's frozen per-block path:
 every report block sieved on its own, with the same partial-sum formula, so
 psi_sum must agree with it bit for bit however its sieve segments fall.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -178,6 +184,51 @@ def twist_absorption_oracle(chi, xi, pi_q, pi_q_prime, limit):
                 return False
             n *= p
     return True
+
+
+def twist_absorption_per_prime(chi, xi, pi_q, pi_q_prime, limit):
+    """twist_absorption_check one prime power at a time: scalar
+    `primitive_exponent` values scaled to the lcm L of the four primitive
+    group exponents, compared mod L in Python integers."""
+    left_a = pi_q * chi
+    left_b = pi_q_prime * xi
+    right_a = pi_q
+    right_b = pi_q_prime * (chi.conjugate() * xi)
+    bad = lcm(chi.conductor, xi.conductor, pi_q.conductor, pi_q_prime.conductor)
+    excluded = {p for p, _ in factorize(bad)}
+    levels = [c.primitive().group.exponent
+              for c in (left_a, left_b, right_a, right_b)]
+    level = lcm(*levels)
+    sa, sb, ta, tb = (level // n for n in levels)
+    for p in sieve_primes(limit).tolist():
+        if p in excluded:
+            continue
+        n = p
+        while n <= limit:
+            la, lb, ra, rb = (c.primitive_exponent(n)
+                              for c in (left_a, left_b, right_a, right_b))
+            left_zero = la is None or lb is None
+            right_zero = ra is None or rb is None
+            if left_zero != right_zero:
+                return False
+            if not left_zero and \
+                    (la * sa - lb * sb - ra * ta + rb * tb) % level:
+                return False
+            n *= p
+    return True
+
+
+def fiber_residue_table_loop(fiber, modulus):
+    """chi_i(r) for every fiber character and residue r mod `modulus`, one
+    scalar `primitive_exponent` per entry."""
+    table = np.zeros((len(fiber), modulus), dtype=np.complex128)
+    for row, (chi, _) in enumerate(fiber):
+        level = chi.primitive().group.exponent
+        for r in range(modulus):
+            a = chi.primitive_exponent(r)
+            if a is not None:
+                table[row, r] = cmath.exp(2j * cmath.pi * (a / level))
+    return table
 
 
 def closure_bfs(m, elements):

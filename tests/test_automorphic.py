@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,13 @@ from bclab.characters import (
     unit_group,
 )
 from bclab.cyclotomic import RootContext
-from bclab.fields import AbelianField, make_field, rationals, tower
+from bclab.fields import (
+    AbelianField,
+    fields_up_to_conductor,
+    make_field,
+    rationals,
+    tower,
+)
 from bclab.automorphic import (
     GalHeckeChar,
     IsobaricSum,
@@ -21,11 +28,13 @@ from bclab.automorphic import (
     coeff_angles_over_q,
     coeff_data_over_e,
     cuspidal_over,
+    frobenius_degree,
     is_self_contragredient,
     local_coeffs_over_e,
     local_coeffs_over_q,
     trivial_over,
 )
+from bclab.pnt import sieve_primes
 
 
 def sqrt5():
@@ -189,6 +198,32 @@ def test_single_trivial_component():
     ai = IsobaricSum([(trivial_char(1), 0.0)])
     assert all(abs(c.value - 1) < 1e-15
                for c in local_coeffs_over_q(ai, 13, 4))
+
+
+def _coeff_data_fraction_power(pi, p, j):
+    """coeff_data_over_e with omega(p^{f_p})^k formed as a Fraction power:
+    (omega.angle(frob) * k) % 1."""
+    m = pi.field.modulus
+    if m > 1 and math.gcd(p, m) != 1:
+        return None
+    f_p = frobenius_degree(pi, p)
+    if j % f_p:
+        return None
+    frob = pow(p, f_p, m) if m > 1 else 0
+    return (f_p * (pi.field.degree // f_p),
+            (pi.omega.angle(frob) * (j // f_p)) % 1)
+
+
+def test_coeff_data_over_e_matches_fraction_power():
+    primes = sieve_primes(500).tolist()
+    for field in fields_up_to_conductor(24):
+        for omega in subgroup_characters(field.ambient, field.subgroup):
+            pi = GalHeckeChar(field, omega)
+            for p in primes:
+                for j in range(1, 7):
+                    got = coeff_data_over_e(pi, p, j)
+                    assert got == _coeff_data_fraction_power(pi, p, j)
+                    assert got is None or isinstance(got[1], Fraction)
 
 
 @settings(max_examples=60, deadline=None)

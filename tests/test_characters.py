@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -551,6 +552,70 @@ def test_products_match_fraction_oracle(m1, m2, data):
 
     a, b = draw(m1), draw(m2)
     _agrees_with_fraction_oracle(a * b, FractionChar.of(a) * FractionChar.of(b))
+
+
+def _scalar_exponents(chi, ns):
+    """primitive_exponent at each n, with -1 for a zero value."""
+    return [-1 if a is None else a
+            for a in (chi.primitive_exponent(n) for n in ns)]
+
+
+def test_exponents_at_matches_primitive_exponent():
+    for m in range(1, 61):
+        ns = np.arange(-3 * m, 3 * m)
+        for chi in dual_group(unit_group(m)):
+            got = chi.exponents_at(ns)
+            assert got.dtype == np.int64
+            assert got.tolist() == _scalar_exponents(chi, ns.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 120), st.data())
+def test_exponents_at_matches_on_products(bound, data):
+    divisors = [d for d in range(1, bound + 1) if bound % d == 0]
+
+    def draw():
+        g = unit_group(data.draw(st.sampled_from(divisors)))
+        exps = [data.draw(st.integers(0, o - 1)) for _, o in g.generators]
+        return DirichletChar(g, exps)
+
+    chi = draw() * draw()
+    ns = list(range(-2 * bound, 2 * bound))
+    ns += data.draw(st.lists(st.integers(-10**12, 10**12), max_size=20))
+    got = chi.exponents_at(np.array(ns, dtype=np.int64))
+    assert got.tolist() == _scalar_exponents(chi, ns)
+
+
+def test_exponents_at_keeps_the_array_shape():
+    chi = theta() * DirichletChar(unit_group(12), [1, 1])
+    ns = np.arange(-30, 30).reshape(3, 4, 5)
+    got = chi.exponents_at(ns)
+    assert got.shape == (3, 4, 5)
+    assert got.ravel().tolist() == _scalar_exponents(chi, ns.ravel().tolist())
+    assert chi.exponents_at(7).tolist() == chi.primitive_exponent(7)
+
+
+@pytest.mark.parametrize("angles, message", [
+    ({1: 0.0, 4: 0.5}, "angle 0.0 at 1 "),
+    ({1: Fraction(0), 4: "1/2"}, "angle '1/2' at 4 "),
+    ({1: Fraction(0), 4: 1j}, "angle 1j at 4 "),
+])
+def test_subgroup_char_rejects_non_rational_angles(angles, message):
+    with pytest.raises(TypeError, match=message):
+        SubgroupChar(unit_group(5), angles)
+
+
+def test_subgroup_char_value_exponent_gives_its_angle():
+    for m in range(1, 25):
+        group = unit_group(m)
+        for sub in all_subgroups(group):
+            for omega in subgroup_characters(group, sub):
+                for u in sub:
+                    a, level = omega.value_exponent(u)
+                    assert 0 <= a < level
+                    assert Fraction(a, level) == omega.angle(u)
+    with pytest.raises(ValueError, match="not in the subgroup"):
+        restrict_char(theta(), {1, 4}).value_exponent(2)
 
 
 # ---------------------------------------------------------------- primality

@@ -1,18 +1,30 @@
+import random
+from functools import lru_cache
+from math import lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bclab.characters import DirichletChar, trivial_char, unit_group
+from bclab.characters import (
+    DirichletChar,
+    factorize,
+    subgroup_characters,
+    trivial_char,
+    unit_group,
+)
 from bclab.config import parse_config
-from bclab.fields import make_field
-from bclab.automorphic import base_change, trivial_over
+from bclab.fields import fields_up_to_conductor, make_field
+from bclab.automorphic import GalHeckeChar, base_change, bc_fiber, trivial_over
 from bclab.pnt import sieve_primes
 from bclab.rankin_selberg import (
     RsCoeffSource,
+    _fiber_residue_table,
+    _prime_powers,
     conjugation_swap_consistent,
     pole_multiplicity,
+    pair_modulus,
     ramified_primes,
     thm1_1_applies,
     thm1_2_applies,
@@ -20,7 +32,12 @@ from bclab.rankin_selberg import (
     twisted_pairs,
 )
 from bclab.verify import absorption_quadruples
-from oracles import FractionChar, twist_absorption_oracle
+from oracles import (
+    FractionChar,
+    fiber_residue_table_loop,
+    twist_absorption_oracle,
+    twist_absorption_per_prime,
+)
 
 THM11 = Path(__file__).resolve().parent.parent / "configs" / "thm11.cfg"
 
@@ -231,3 +248,69 @@ def test_absorption_matches_fraction_oracle_on_criterion_9():
             assert prod.primitive().exponents == oracle.primitive().exponents
         assert twist_absorption_check(*quad, 10_000) == \
             twist_absorption_oracle(*quad, 10_000)
+
+
+@pytest.mark.parametrize("excluded", [set(), {2}, {2, 5, 97}])
+def test_prime_powers_are_every_p_k_off_the_excluded_primes(excluded):
+    for limit in [*range(0, 130), 10_000]:
+        want = sorted(n for n in range(2, limit + 1)
+                      if len(factorize(n)) == 1 and factorize(n)[0][0]
+                      not in excluded)
+        got = _prime_powers(limit, excluded)
+        assert got.dtype == np.int64
+        assert sorted(got.tolist()) == want
+
+
+def test_absorption_matches_per_prime_loop_on_criterion_9():
+    for quad in absorption_quadruples(100):
+        assert twist_absorption_check(*quad, 10_000) is \
+            twist_absorption_per_prime(*quad, 10_000)
+
+
+@lru_cache(maxsize=None)
+def large_level_quadruple():
+    """Characters of order p - 1 mod four safe primes p = 2q + 1: the lcm L
+    of the four primitive group exponents exceeds 2^64."""
+    return tuple(DirichletChar(unit_group(p), [1])
+                 for p in (131267, 131303, 131687, 131927))
+
+
+def test_absorption_is_exact_past_int64():
+    chi, xi, pi_q, pi_q_prime = quad = large_level_quadruple()
+    chars = (pi_q * chi, pi_q_prime * xi, pi_q,
+             pi_q_prime * (chi.conjugate() * xi))
+    assert lcm(*[c.primitive().group.exponent for c in chars]) >= 2 ** 62
+    assert twist_absorption_check(*quad, 2000) is True
+    assert twist_absorption_per_prime(*quad, 2000) is True
+
+
+def test_exponents_at_is_exact_at_large_levels():
+    chi, xi, pi_q, pi_q_prime = large_level_quadruple()
+    ns = [p ** k for p in sieve_primes(2000).tolist()
+          for k in (1, 2, 3) if p ** k <= 10 ** 9]
+    for c in (pi_q * chi, pi_q_prime * (chi.conjugate() * xi)):
+        got = c.exponents_at(np.array(ns, dtype=np.int64)).tolist()
+        assert got == [-1 if a is None else a
+                       for a in map(c.primitive_exponent, ns)]
+    too_large = chi * xi * pi_q * pi_q_prime
+    assert too_large.primitive().group.exponent >= 2 ** 63
+    with pytest.raises(OverflowError, match="do not fit in int64"):
+        too_large.exponents_at(np.array(ns, dtype=np.int64))
+
+
+def test_fiber_residue_tables_match_scalar_loop():
+    configs = [(field, omega) for field in fields_up_to_conductor(60)
+               for omega in subgroup_characters(field.ambient, field.subgroup)]
+    rng = random.Random(2009)
+    cfg = parse_config(THM11.read_text())
+    pairs = [(cfg.pi(), cfg.pi_prime())]
+    pairs += [(GalHeckeChar(*rng.choice(configs)),
+               GalHeckeChar(*rng.choice(configs))) for _ in range(24)]
+    for pi, pi_prime in pairs:
+        modulus = pair_modulus(pi, pi_prime)
+        for side in (pi, pi_prime):
+            fiber = bc_fiber(side)
+            got = _fiber_residue_table(fiber, modulus)
+            want = fiber_residue_table_loop(fiber, modulus)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
