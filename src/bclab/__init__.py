@@ -56,7 +56,6 @@ from .twist_counts import (
     pair_subgroup,
 )
 from .pnt import (
-    DirichletSource,
     PntReport,
     decay_check,
     predicted_main_term,

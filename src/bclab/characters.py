@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from numbers import Rational
 from typing import NamedTuple
 
@@ -145,6 +145,23 @@ class _LocalGroup(NamedTuple):
     dlog_table: dict[int, tuple[int, ...]]
 
 
+def _powers_mod(g: int, n: int, q: int) -> np.ndarray:
+    """g^k mod q for k in [0, n) as int64: giant steps g^(s i) times baby
+    steps g^j, s = ceil(sqrt(n)), in one outer product mod q.  The products
+    stay below q^2, exact in int64 while q < 2^31, far past any table that
+    fits in memory."""
+    s = isqrt(n - 1) + 1
+    baby, giant = [1], [1]
+    while len(baby) < s:
+        baby.append(baby[-1] * g % q)
+    step = pow(g, s, q)
+    while len(giant) * s < n:
+        giant.append(giant[-1] * step % q)
+    out = np.multiply.outer(np.array(giant, dtype=np.int64),
+                            np.array(baby, dtype=np.int64)) % q
+    return out.ravel()[:n]
+
+
 @lru_cache(maxsize=None)
 def _local_group(p: int, e: int) -> _LocalGroup:
     q = p ** e
@@ -157,12 +174,12 @@ def _local_group(p: int, e: int) -> _LocalGroup:
     else:
         # (Z/2^e)^x is not cyclic: use -1 of order 2 and 5.
         gens = ((q - 1, 2), (5, 2 ** (e - 2)))
-    table: dict[int, tuple[int, ...]] = {}
-    for vec in iter_product(*[range(o) for _, o in gens]):
-        u = 1
-        for (g, _), k in zip(gens, vec):
-            u = u * pow(g, k, q) % q
-        table[u] = vec
+    # The unit with exponent vector vec is prod g^vec mod q; vectors run in
+    # lexicographic order, the last generator fastest.
+    units = np.ones(1, dtype=np.int64)
+    for g, o in gens:
+        units = np.multiply.outer(units, _powers_mod(g, o, q)).ravel() % q
+    table = dict(zip(units.tolist(), iter_product(*[range(o) for _, o in gens])))
     if len(table) != euler_phi(q):
         raise ArithmeticError(
             f"generator set mod {q} does not span the unit group"

@@ -187,7 +187,7 @@ def cmd_coeffs(args) -> int:
 def cmd_rs(args) -> int:
     import numpy as np
 
-    from .pnt import PrimePowerStream, sieve_primes
+    from .pnt import PrimePowerStream, higher_power_coeffs, sieve_primes
     from .rankin_selberg import (RsCoeffSource, thm1_1_applies,
                                  thm1_2_applies, twisted_pairs)
 
@@ -209,20 +209,14 @@ def cmd_rs(args) -> int:
     }
     _emit_json(payload, args.out)
     if args.csv:
-        # a(p^k) for every prime power p^k <= limit off the excluded primes,
-        # one coeff_at call per exponent k.
+        # a(p^k) for every prime power p^k <= limit off the excluded primes
         source = RsCoeffSource(pi, pi_prime)
-        excluded = source.excluded_primes
         primes = sieve_primes(args.limit)
-        primes = primes[~np.isin(primes, list(excluded))]
-        rows = list(zip(primes.tolist(), source.coeff_at(primes).tolist()))
-        by_k: dict[int, list[tuple[int, int]]] = {}
-        for p, k, n in PrimePowerStream(args.limit).higher_powers():
-            if p not in excluded:
-                by_k.setdefault(k, []).append((p, n))
-        for k, pn in by_k.items():
-            ps = np.array([p for p, _ in pn], dtype=np.int64)
-            rows += zip([n for _, n in pn], source.coeff_at(ps, k).tolist())
+        primes = primes[~np.isin(primes, list(source.excluded_primes))]
+        _, powers, vals = higher_power_coeffs(
+            PrimePowerStream(args.limit), source)
+        rows = list(zip(primes.tolist() + powers.tolist(),
+                        source.coeff_at(primes).tolist() + vals.tolist()))
         rows.sort(key=lambda row: row[0])
         lines = [f"# artifact_version={__version__} "
                  f"config_sha256={config_hash(cfg)}",

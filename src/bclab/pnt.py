@@ -20,6 +20,15 @@ only base primes from 17 up are sieved per segment.  This is the segmented
 design of T. Oliveira e Silva ("Fast implementation of the segmented sieve
 of Eratosthenes") and K. Walisch's primesieve, reduced to what numpy slicing
 can do.
+
+It is the library's one sieve: `sieve_primes(limit)` concatenates a
+stream's windows, and a stream takes its base primes from `sieve_primes`
+at the square root of its limit.  The recursion ends in the wheel: every
+odd composite below 17^2 has a factor from 3 to 13, so a stream whose limit
+is below 289 needs no base prime beyond the wheel primes.  The higher prime
+powers p^k, k >= 2, are few (O(sqrt x)); `higher_power_coeffs` gathers
+their coefficients with one `coeff_at` call per k for `psi_sum` and for
+`bclab rs --csv` alike.
 """
 
 from __future__ import annotations
@@ -51,15 +60,13 @@ _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit."""
+    """All primes <= limit: the stream's windows of at most SEGMENT integers,
+    concatenated."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    stream = PrimePowerStream(limit)
+    return np.concatenate([stream.primes_in(lo, min(lo + SEGMENT, limit + 1))
+                           for lo in range(0, limit + 1, SEGMENT)])
 
 
 class PrimePowerStream:
@@ -71,7 +78,11 @@ class PrimePowerStream:
             raise ValueError(f"stream limit must be at least 2, got {limit}")
         self.limit = int(limit)
         self.chunk = int(chunk)
-        self.base_primes = sieve_primes(math.isqrt(self.limit))
+        root = math.isqrt(self.limit)
+        # Below 17^2 the wheel alone leaves only primes, so primes_in needs no
+        # base prime from 17 up and the recursion ends here.
+        self.base_primes = (sieve_primes(root) if root >= 17 else
+                            _SMALL_PRIMES[_SMALL_PRIMES <= root])
 
     def block_edges(self, breakpoints=()) -> list[int]:
         edges = {2, self.limit + 1}
@@ -124,6 +135,22 @@ class PrimePowerStream:
                 k += 1
                 n *= p
         return sorted(out, key=lambda t: t[2])
+
+
+def higher_power_coeffs(stream: PrimePowerStream, source
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, p^k, a(p^k)) as arrays, ascending in p^k, for every prime power
+    p^k <= stream.limit with k >= 2 and p outside `source.excluded_primes`;
+    one `coeff_at` call per exponent k."""
+    excluded = source.excluded_primes
+    ps, ks, powers = np.array(
+        [t for t in stream.higher_powers() if t[0] not in excluded],
+        dtype=np.int64).reshape(-1, 3).T
+    vals = np.empty(ps.size, dtype=np.complex128)
+    for k in np.unique(ks).tolist():
+        at = ks == k
+        vals[at] = source.coeff_at(ps[at], k)
+    return ps, powers, vals
 
 
 def default_checkpoints(limit: int) -> tuple[int, ...]:
@@ -232,23 +259,6 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
     stream = PrimePowerStream(x, chunk=chunk)
     excluded = np.array(sorted(source.excluded_primes), dtype=np.int64)
 
-    # Higher prime powers, batched per exponent, then bucketed by chunk.
-    powers = stream.higher_powers()
-    power_vals: dict[tuple[int, int], complex] = {}
-    by_k: dict[int, list[int]] = {}
-    for p, k, _ in powers:
-        by_k.setdefault(k, []).append(p)
-    for k, plist in by_k.items():
-        parr = np.array(plist, dtype=np.int64)
-        keep = ~np.isin(parr, excluded)
-        vals = np.zeros(len(parr), dtype=np.complex128)
-        if keep.any():
-            vals[keep] = np.asarray(source.coeff_at(parr[keep], k),
-                                    dtype=np.complex128)
-        logs = np.log(parr.astype(np.float64))
-        for p, v, lg in zip(plist, vals, logs):
-            power_vals[(p, k)] = complex(v * lg)
-
     edges = stream.block_edges(checkpoints)
     blocks = list(zip(edges[:-1], edges[1:]))
     segments = _segments(blocks)
@@ -281,14 +291,12 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
     parts = [part for seg in per_segment for part in seg]
 
     # Fold the sparse higher powers into their blocks, ascending in p^k.
-    power_idx = 0
-    for i, (lo, hi) in enumerate(blocks):
-        extra = 0j
-        while power_idx < len(powers) and lo <= powers[power_idx][2] < hi:
-            p, k, _ = powers[power_idx]
-            extra += power_vals[(p, k)]
-            power_idx += 1
-        parts[i] = parts[i] + extra
+    ps, powers, vals = higher_power_coeffs(stream, source)
+    extras = [0j] * len(blocks)
+    for i, term in zip(np.searchsorted(edges, powers, side="right") - 1,
+                       (vals * np.log(ps.astype(np.float64))).tolist()):
+        extras[i] += term
+    parts = [part + extra for part, extra in zip(parts, extras)]
 
     # Error-free prefix reduction in fixed block order at each checkpoint.
     psi_values = []
@@ -322,26 +330,3 @@ def decay_check(report: PntReport) -> bool:
         )
     return report.rel_error[-1] <= report.rel_error[0] / 2
 
-
-class DirichletSource:
-    """Coefficients a(p^k) = chi(p^k) p^{i k tau} of a single twisted character."""
-
-    def __init__(self, chi, tau: float = 0.0, extra_excluded=(),
-                 multiplicity: int | None = None):
-        from .characters import factorize
-        self.chi = chi
-        self.tau = float(tau)
-        self.excluded_primes = frozenset(
-            p for p, _ in factorize(chi.conductor)) | frozenset(extra_excluded)
-        self.multiplicity = (1 if chi.is_trivial else 0) \
-            if multiplicity is None else multiplicity
-        self.tau0 = self.tau
-        f = chi.conductor
-        self._table = np.array([chi.value(r) for r in range(f)],
-                               dtype=np.complex128)
-
-    def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:
-        vals = self._table[np.mod(p, self.chi.conductor)] ** k
-        if self.tau:
-            vals = vals * np.exp(1j * self.tau * k * np.log(p.astype(float)))
-        return vals

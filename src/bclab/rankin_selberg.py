@@ -181,7 +181,13 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     the comparison is exact integer arithmetic mod L.  The scaled
     combination lies in (-2L, 2L): it is formed in int64 when 2L < 2^63
     and in Python integers otherwise, so the result is exact at any level.
-    Returns True only when the zero patterns agree and the exponents agree
+
+    No value is zero.  The conductor of a product of characters divides the
+    lcm of their conductors, and conjugation keeps the conductor, so each of
+    the four characters compared has its conductor dividing the lcm of the
+    four input conductors, whose primes are the excluded ones.  Every
+    remaining p^k is therefore prime to each primitive conductor, and its
+    value is a root of unity.  Returns True only when the exponents agree
     mod L at every remaining p^k <= limit.
     """
     left_a = pi_q * chi
@@ -195,14 +201,9 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     levels = [c.primitive().group.exponent for c in chars]
     level = lcm(*levels)
     n = _prime_powers(limit, excluded)
-    la, lb, ra, rb = (c.exponents_at(n) for c in chars)
-    left_zero = (la < 0) | (lb < 0)
-    if np.any(left_zero != ((ra < 0) | (rb < 0))):
-        return False
-    live = ~left_zero
     dtype = np.int64 if 2 * level < 2 ** 63 else object
     sa, sb, ta, tb = (level // v for v in levels)
-    la, lb, ra, rb = (a[live].astype(dtype) for a in (la, lb, ra, rb))
+    la, lb, ra, rb = (c.exponents_at(n).astype(dtype) for c in chars)
     return not np.any((la * sa - lb * sb - ra * ta + rb * tb) % level)
 
 

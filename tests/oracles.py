@@ -13,21 +13,41 @@ references here too: `twist_absorption_per_prime` and
 `fiber_residue_table_loop` call the scalar `primitive_exponent` once per
 prime power or residue, in Python integers.
 
+`local_dlog_table_loop` builds a local discrete-log table one `pow` per
+unit, in the order the library's vectorised table must keep.
+
 For the analytic layer, `psi_per_block` is psi_sum's frozen per-block path:
 every report block sieved on its own, with the same partial-sum formula, so
 psi_sum must agree with it bit for bit however its sieve segments fall.
+`plain_sieve_primes` is a byte-per-integer sieve of Eratosthenes, the
+reference for the library's segmented one; the other references here draw
+their primes from it.  `DirichletSource` is a psi_sum source of a single
+twisted character.
 """
 
 import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product as iter_product
 from math import gcd, lcm
 
 import numpy as np
 
 from bclab.characters import DirichletChar, dual_group, factorize
-from bclab.pnt import DEFAULT_CHUNK, PrimePowerStream, sieve_primes
+from bclab.pnt import DEFAULT_CHUNK, PrimePowerStream
+
+
+def plain_sieve_primes(limit):
+    """All primes <= limit."""
+    if limit < 2:
+        return np.array([], dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p:: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 def _phi(n):
@@ -169,7 +189,7 @@ def twist_absorption_oracle(chi, xi, pi_q, pi_q_prime, limit):
     right_b = pi_q_prime * (chi.conjugate() * xi)
     bad = lcm(chi.conductor, xi.conductor, pi_q.conductor, pi_q_prime.conductor)
     excluded = {p for p, _ in factorize(bad)}
-    for p in sieve_primes(limit).tolist():
+    for p in plain_sieve_primes(limit).tolist():
         if p in excluded:
             continue
         n = p
@@ -200,7 +220,7 @@ def twist_absorption_per_prime(chi, xi, pi_q, pi_q_prime, limit):
               for c in (left_a, left_b, right_a, right_b)]
     level = lcm(*levels)
     sa, sb, ta, tb = (level // n for n in levels)
-    for p in sieve_primes(limit).tolist():
+    for p in plain_sieve_primes(limit).tolist():
         if p in excluded:
             continue
         n = p
@@ -216,6 +236,19 @@ def twist_absorption_per_prime(chi, xi, pi_q, pi_q_prime, limit):
                 return False
             n *= p
     return True
+
+
+def local_dlog_table_loop(generators, q):
+    """The discrete log of every unit mod q = p^e on the given generators,
+    one `pow` per generator and unit, in lexicographic order of the
+    exponent vectors."""
+    table = {}
+    for vec in iter_product(*[range(o) for _, o in generators]):
+        u = 1
+        for (g, _), k in zip(generators, vec):
+            u = u * pow(g, k, q) % q
+        table[u] = vec
+    return table
 
 
 def fiber_residue_table_loop(fiber, modulus):
@@ -425,3 +458,26 @@ def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
         psi.append(complex(math.fsum(z.real for z in done),
                            math.fsum(z.imag for z in done)))
     return tuple(psi)
+
+
+class DirichletSource:
+    """Coefficients a(p^k) = chi(p^k) p^{i k tau} of a single twisted character."""
+
+    def __init__(self, chi, tau: float = 0.0, extra_excluded=(),
+                 multiplicity: int | None = None):
+        self.chi = chi
+        self.tau = float(tau)
+        self.excluded_primes = frozenset(
+            p for p, _ in factorize(chi.conductor)) | frozenset(extra_excluded)
+        self.multiplicity = (1 if chi.is_trivial else 0) \
+            if multiplicity is None else multiplicity
+        self.tau0 = self.tau
+        f = chi.conductor
+        self._table = np.array([chi.value(r) for r in range(f)],
+                               dtype=np.complex128)
+
+    def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:
+        vals = self._table[np.mod(p, self.chi.conductor)] ** k
+        if self.tau:
+            vals = vals * np.exp(1j * self.tau * k * np.log(p.astype(float)))
+        return vals

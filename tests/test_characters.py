@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import (
     DirichletChar,
     SubgroupChar,
+    _local_group,
     _subgroup_generators,
     all_subgroups,
     closure,
@@ -28,6 +29,7 @@ from oracles import (
     closure_bfs,
     extensions_oracle,
     is_subgroup_char_oracle,
+    local_dlog_table_loop,
     restrict_char_oracle,
     subgroup_characters_oracle,
     subgroup_generators_oracle,
@@ -501,6 +503,15 @@ def test_unit_group_orders_match_sympy():
                 q = p ** e
                 lifted = [gen % q for gen, _ in g.generators if gen % q != 1]
                 assert lifted == [primitive_root(q)]
+
+
+def test_local_dlog_tables_match_pow_loop():
+    # same entries in the same insertion order as one pow per unit
+    prime_powers = [f[0] for f in map(factorize, range(2, 2001)) if len(f) == 1]
+    for p, e in prime_powers + [(131267, 1)]:
+        local = _local_group(p, e)
+        want = local_dlog_table_loop(local.generators, local.q)
+        assert list(local.dlog_table.items()) == list(want.items()), (p, e)
 
 
 def test_dlog_memo_and_non_units():

@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,21 +9,22 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import DirichletChar, trivial_char, unit_group
 from bclab.fields import make_field
 from bclab.automorphic import base_change, trivial_over
+from bclab.config import parse_config
 from bclab.rankin_selberg import RsCoeffSource
 from bclab import pnt
 from bclab.pnt import (
-    DirichletSource,
     PrimePowerStream,
     _resolve_workers,
     _segments,
     decay_check,
     default_checkpoints,
+    higher_power_coeffs,
     predicted_main_term,
     psi_sum,
     sieve_primes,
 )
 from bclab.verify import _oracle_primes
-from oracles import psi_per_block
+from oracles import DirichletSource, plain_sieve_primes, psi_per_block
 
 
 def is_prime_slow(n):
@@ -60,7 +62,7 @@ WHEEL_SPAN = 2 * 15015  # integers per period of the odd-only wheel pattern
 
 
 def expected_primes(lo, hi):
-    ref = sieve_primes(hi - 1)
+    ref = plain_sieve_primes(hi - 1)
     return ref[ref >= lo].tolist()
 
 
@@ -91,7 +93,36 @@ def test_chunk7_stream_blocks_concatenate_to_sieve(limit, breakpoints):
     edges = stream.block_edges(breakpoints)
     blocks = [stream.primes_in(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     assert all(b.dtype == np.int64 for b in blocks)
-    assert np.concatenate(blocks).tolist() == sieve_primes(limit).tolist()
+    assert np.concatenate(blocks).tolist() == plain_sieve_primes(limit).tolist()
+
+
+@pytest.mark.parametrize("limits", [
+    range(0, 2001),
+    [pnt.SEGMENT - 1, pnt.SEGMENT, pnt.SEGMENT + 1, 2 * pnt.SEGMENT + 1,
+     10**7],
+])
+def test_sieve_primes_matches_plain_sieve(limits):
+    for limit in limits:
+        got = sieve_primes(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, plain_sieve_primes(limit)), limit
+
+
+@pytest.mark.parametrize("segment", [7, 30])
+def test_sieve_primes_windows_cover_every_limit(monkeypatch, segment):
+    # the last window ends at limit + 1 whatever SEGMENT divides
+    monkeypatch.setattr(pnt, "SEGMENT", segment)
+    for limit in range(0, 400):
+        assert np.array_equal(sieve_primes(limit), plain_sieve_primes(limit))
+
+
+def test_base_primes_where_the_recursion_ends():
+    # isqrt(limit) crosses 17 at 289: below, the base primes are the wheel's
+    for limit in range(255, 331):
+        want = plain_sieve_primes(math.isqrt(limit))
+        got = PrimePowerStream(limit).base_primes
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist(), limit
 
 
 def test_primes_in_rejects_window_past_limit():
@@ -116,6 +147,24 @@ def test_higher_powers_complete_and_unique():
 def test_stream_validates_limit():
     with pytest.raises(ValueError):
         PrimePowerStream(1)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["thm11", "dihedral", "empty_t", "twist"])
+def test_higher_power_coeffs_match_scalar_loop(name):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    source = RsCoeffSource(cfg.pi(), cfg.pi_prime())
+    stream = PrimePowerStream(10**5)
+    ps, powers, vals = higher_power_coeffs(stream, source)
+    want = [(p, n, source.coeff_at(np.array([p], dtype=np.int64), k)[0])
+            for p, k, n in stream.higher_powers()
+            if p not in source.excluded_primes]
+    assert ps.dtype == powers.dtype == np.int64
+    assert vals.dtype == np.complex128
+    assert list(zip(ps.tolist(), powers.tolist(), vals.tolist())) == want
+    assert not set(ps.tolist()) & source.excluded_primes
 
 
 # ------------------------------------------------------------------- workers
@@ -304,6 +353,15 @@ def test_default_segments_bit_identical_at_1e7(workers):
     checkpoints = default_checkpoints(10**7)
     expected = psi_per_block(source, 10**7, checkpoints)
     assert psi_sum(source, 10**7, workers=workers).psi == expected
+
+
+def test_higher_powers_fold_into_the_block_they_open():
+    # a checkpoint at p^k - 1 makes p^k the first integer of the next block;
+    # 2 and 5 are excluded for this pair, 3, 7, 11 and 13 are not
+    source = _pair_source()
+    checkpoints = (728, 2400, 6560, 14640, 16806, 28560, 10**5)
+    assert psi_sum(source, 10**5, checkpoints=checkpoints).psi == \
+        psi_per_block(source, 10**5, checkpoints)
 
 
 @pytest.mark.parametrize("spec_e,spec_f", [

@@ -284,6 +284,22 @@ def test_absorption_is_exact_past_int64():
     assert twist_absorption_per_prime(*quad, 2000) is True
 
 
+@pytest.mark.parametrize("quads, limit", [
+    (lambda: absorption_quadruples(100), 10_000),
+    (lambda: [large_level_quadruple()], 2000),
+])
+def test_absorption_never_evaluates_a_zero_value(quads, limit):
+    # the excluded primes cover every conductor of the four characters
+    for chi, xi, pi_q, pi_q_prime in quads():
+        bad = lcm(chi.conductor, xi.conductor,
+                  pi_q.conductor, pi_q_prime.conductor)
+        n = _prime_powers(limit, {p for p, _ in factorize(bad)})
+        assert n.size
+        for c in (pi_q * chi, pi_q_prime * xi, pi_q,
+                  pi_q_prime * (chi.conjugate() * xi)):
+            assert c.exponents_at(n).min() >= 0
+
+
 def test_exponents_at_is_exact_at_large_levels():
     chi, xi, pi_q, pi_q_prime = large_level_quadruple()
     ns = [p ** k for p in sieve_primes(2000).tolist()
