@@ -135,7 +135,9 @@ def _crt_lift(residue: int, q: int, modulus: int) -> int:
 
 class _LocalGroup(NamedTuple):
     """(Z/qZ)^x for q = p^e: generators as (residue mod q, order), the
-    group exponent, and the discrete log of every unit mod q."""
+    group exponent, and the discrete log of every unit mod q, as a dict and
+    as two read-only arrays: the units and, row for row, their exponent
+    vectors, in lexicographic order of the vectors."""
 
     p: int
     e: int
@@ -143,6 +145,8 @@ class _LocalGroup(NamedTuple):
     generators: tuple[tuple[int, int], ...]
     exponent: int
     dlog_table: dict[int, tuple[int, ...]]
+    units: np.ndarray
+    vectors: np.ndarray
 
 
 def _powers_mod(g: int, n: int, q: int) -> np.ndarray:
@@ -176,30 +180,33 @@ def _local_group(p: int, e: int) -> _LocalGroup:
         gens = ((q - 1, 2), (5, 2 ** (e - 2)))
     # The unit with exponent vector vec is prod g^vec mod q; vectors run in
     # lexicographic order, the last generator fastest.
+    orders = [o for _, o in gens]
     units = np.ones(1, dtype=np.int64)
     for g, o in gens:
         units = np.multiply.outer(units, _powers_mod(g, o, q)).ravel() % q
-    table = dict(zip(units.tolist(), iter_product(*[range(o) for _, o in gens])))
+    table = dict(zip(units.tolist(), iter_product(*map(range, orders))))
     if len(table) != euler_phi(q):
         raise ArithmeticError(
             f"generator set mod {q} does not span the unit group"
         )
-    return _LocalGroup(p, e, q, gens, lcm(*[o for _, o in gens]), table)
+    vectors = np.indices(orders, dtype=np.int64).reshape(len(orders),
+                                                         units.size).T
+    units.flags.writeable = False
+    vectors.flags.writeable = False
+    return _LocalGroup(p, e, q, gens, lcm(*orders), table, units, vectors)
 
 
 @lru_cache(maxsize=None)
 def _local_dlog_array(p: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     """Array view of `_local_group(p, e).dlog_table`: a unit flag for every
     residue mod q = p^e, and its exponent vector as a row (zero at the
-    non-units).  Both arrays are read-only."""
+    non-units), scattered from the local group's arrays.  Both arrays are
+    read-only."""
     local = _local_group(p, e)
-    table = local.dlog_table
-    units = np.fromiter(table, dtype=np.int64, count=len(table))
     is_unit = np.zeros(local.q, dtype=bool)
-    is_unit[units] = True
+    is_unit[local.units] = True
     vecs = np.zeros((local.q, len(local.generators)), dtype=np.int64)
-    vecs[units] = np.array(list(table.values()), dtype=np.int64
-                           ).reshape(len(table), -1)
+    vecs[local.units] = local.vectors
     is_unit.flags.writeable = False
     vecs.flags.writeable = False
     return is_unit, vecs

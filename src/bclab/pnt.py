@@ -29,6 +29,17 @@ is below 289 needs no base prime beyond the wheel primes.  The higher prime
 powers p^k, k >= 2, are few (O(sqrt x)); `higher_power_coeffs` gathers
 their coefficients with one `coeff_at` call per k for `psi_sum` and for
 `bclab rs --csv` alike.
+
+The primes of a window [lo, hi) do not depend on the stream that asks for
+them, so `primes_in` keeps the windows it sieves in one process-wide cache,
+keyed by (lo, hi) and shared by every stream and thread: `psi_sum`,
+`sieve_primes`, the streams' base primes and `rankin_selberg`'s prime powers
+each sieve a window once per process.  The cache holds at most
+WINDOW_CACHE_BYTES of prime arrays and evicts the least recently used
+window first.  A stream takes part only when all its primes fit that budget
+by the Rosser-Schoenfeld bound pi(x) < 1.25506 x / ln x, so a 1e7 trace is
+cached and a 1e8 or 1e9 trace neither enters nor evicts anything.  Windows
+are handed out as read-only int64 arrays, cached or not.
 """
 
 from __future__ import annotations
@@ -36,6 +47,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,10 +71,45 @@ for _q in (3, 5, 7, 11, 13):
 _WHEEL_TWICE = np.concatenate((_WHEEL, _WHEEL))
 _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 
+# Bytes of prime arrays the window cache may hold: all primes below 1e7
+# (5.3 MB; the admission bound says 6.2 MB) fit, those below 2e7 do not.
+WINDOW_CACHE_BYTES = 8 << 20
+
+
+class _WindowCache:
+    """Prime arrays by window (lo, hi), at most `budget` bytes of them, the
+    least recently used evicted first.  Safe to share between threads."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._windows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple[int, int]) -> np.ndarray | None:
+        with self._lock:
+            primes = self._windows.get(key)
+            if primes is not None:
+                self._windows.move_to_end(key)
+            return primes
+
+    def put(self, key: tuple[int, int], primes: np.ndarray) -> None:
+        with self._lock:
+            if key in self._windows or primes.nbytes > self.budget:
+                return
+            while self.nbytes + primes.nbytes > self.budget:
+                _, old = self._windows.popitem(last=False)
+                self.nbytes -= old.nbytes
+            self._windows[key] = primes
+            self.nbytes += primes.nbytes
+
+
+_WINDOWS = _WindowCache(WINDOW_CACHE_BYTES)
+
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit: the stream's windows of at most SEGMENT integers,
-    concatenated."""
+    """All primes <= limit as a fresh, writable int64 array: the stream's
+    windows of at most SEGMENT integers, concatenated."""
     if limit < 2:
         return np.array([], dtype=np.int64)
     stream = PrimePowerStream(limit)
@@ -78,6 +126,10 @@ class PrimePowerStream:
             raise ValueError(f"stream limit must be at least 2, got {limit}")
         self.limit = int(limit)
         self.chunk = int(chunk)
+        # Rosser-Schoenfeld: pi(x) < 1.25506 x / ln x for every x > 1; each
+        # prime takes 8 bytes.
+        self.cached = (1.25506 * self.limit / math.log(self.limit) * 8
+                       <= WINDOW_CACHE_BYTES)
         root = math.isqrt(self.limit)
         # Below 17^2 the wheel alone leaves only primes, so primes_in needs no
         # base prime from 17 up and the recursion ends here.
@@ -94,18 +146,31 @@ class PrimePowerStream:
         return sorted(edges)
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
-        """Primes in [lo, hi), for hi <= limit + 1, via the segmented sieve.
+        """Primes in [lo, hi), for hi <= limit + 1, as a read-only int64
+        array: from the window cache when the stream takes part in it (see
+        the module docstring), else sieved."""
+        if hi > self.limit + 1:
+            raise ValueError(f"window end {hi} lies past limit + 1 = "
+                             f"{self.limit + 1}; base primes stop at its root")
+        if not self.cached:
+            return self._sieve(lo, hi)
+        primes = _WINDOWS.get((lo, hi))
+        if primes is None:
+            primes = self._sieve(lo, hi)
+            _WINDOWS.put((lo, hi), primes)
+        return primes
+
+    def _sieve(self, lo: int, hi: int) -> np.ndarray:
+        """Primes in [lo, hi) by the segmented sieve, read-only.
 
         mask[i] stands for the odd number first + 2i; 2 and the wheel primes
         are crossed off by the wheel pattern and patched back in.
         """
-        if hi > self.limit + 1:
-            raise ValueError(f"window end {hi} lies past limit + 1 = "
-                             f"{self.limit + 1}; base primes stop at its root")
         small = _SMALL_PRIMES[(_SMALL_PRIMES >= lo) & (_SMALL_PRIMES < hi)]
         first = max(lo, 3) | 1
         n = (hi - first + 1) // 2
         if n <= 0:
+            small.flags.writeable = False
             return small
         offset = (first // 2) % _WHEEL_PERIOD
         mask = np.resize(_WHEEL_TWICE[offset:offset + _WHEEL_PERIOD], n)
@@ -121,7 +186,9 @@ class PrimePowerStream:
         odd = np.flatnonzero(mask)
         odd *= 2
         odd += first
-        return np.concatenate((small, odd))
+        primes = np.concatenate((small, odd))
+        primes.flags.writeable = False
+        return primes
 
     def higher_powers(self) -> list[tuple[int, int, int]]:
         """(p, k, p^k) for every prime power with k >= 2, ascending in p^k."""
@@ -282,8 +349,6 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
 
     n_workers = min(_resolve_workers(workers), len(segments))
     if n_workers > 1:
-        # warm any lazy per-exponent tables before sharing the source
-        source.coeff_at(np.array([2], dtype=np.int64), 1)
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             per_segment = list(pool.map(segment_parts, segments))
     else:

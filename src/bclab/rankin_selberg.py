@@ -114,19 +114,19 @@ class RsCoeffSource:
         self.excluded_primes = ramified_primes(pi, pi_prime)
         self._left = _fiber_residue_table(self.pair_set.fiber_left, self.modulus)
         self._right = _fiber_residue_table(self.pair_set.fiber_right, self.modulus)
-        self._products: dict[int, np.ndarray] = {}
+        self._product1 = self._product(1)
 
     def _product(self, k: int) -> np.ndarray:
         """Residue table of (sum_i chi_i^k) * conj(sum_j psi_j^k)."""
-        table = self._products.get(k)
-        if table is None:
-            table = (self._left ** k).sum(axis=0) * \
-                np.conj((self._right ** k).sum(axis=0))
-            self._products[k] = table
-        return table
+        return (self._left ** k).sum(axis=0) * \
+            np.conj((self._right ** k).sum(axis=0))
 
     def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:
-        vals = self._product(k)[np.mod(p, self.modulus)]
+        """a(p^k) for an int64 array of primes.  The k = 1 table, which
+        every prime reads, is built once; a k >= 2 table (one call per k
+        per trace) is built for its call and dropped."""
+        table = self._product1 if k == 1 else self._product(k)
+        vals = table[np.mod(p, self.modulus)]
         if self.tau0:
             vals = vals * np.exp(1j * self.tau0 * k * np.log(p.astype(float)))
         return vals

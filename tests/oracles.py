@@ -22,7 +22,8 @@ psi_sum must agree with it bit for bit however its sieve segments fall.
 `plain_sieve_primes` is a byte-per-integer sieve of Eratosthenes, the
 reference for the library's segmented one; the other references here draw
 their primes from it.  `DirichletSource` is a psi_sum source of a single
-twisted character.
+twisted character.  `MemoisedRsSource` is `RsCoeffSource.coeff_at` with a
+product table per exponent k kept from its first use.
 """
 
 import cmath
@@ -480,4 +481,30 @@ class DirichletSource:
         vals = self._table[np.mod(p, self.chi.conductor)] ** k
         if self.tau:
             vals = vals * np.exp(1j * self.tau * k * np.log(p.astype(float)))
+        return vals
+
+
+class MemoisedRsSource:
+    """a(p^k) from an `RsCoeffSource`'s fiber residue tables, with the
+    product table of each exponent k memoised on first use."""
+
+    def __init__(self, source):
+        self._left = source._left
+        self._right = source._right
+        self.modulus = source.modulus
+        self.tau0 = source.tau0
+        self._products = {}
+
+    def _product(self, k):
+        table = self._products.get(k)
+        if table is None:
+            table = (self._left ** k).sum(axis=0) * \
+                np.conj((self._right ** k).sum(axis=0))
+            self._products[k] = table
+        return table
+
+    def coeff_at(self, p, k=1):
+        vals = self._product(k)[np.mod(p, self.modulus)]
+        if self.tau0:
+            vals = vals * np.exp(1j * self.tau0 * k * np.log(p.astype(float)))
         return vals

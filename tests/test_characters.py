@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import (
     DirichletChar,
     SubgroupChar,
+    _local_dlog_array,
     _local_group,
     _subgroup_generators,
     all_subgroups,
@@ -512,6 +513,17 @@ def test_local_dlog_tables_match_pow_loop():
         local = _local_group(p, e)
         want = local_dlog_table_loop(local.generators, local.q)
         assert list(local.dlog_table.items()) == list(want.items()), (p, e)
+        # the arrays row for row, and the residue view scattered from them
+        assert local.units.tolist() == list(want)
+        assert list(map(tuple, local.vectors.tolist())) == list(want.values())
+        flags, vecs = _local_dlog_array(p, e)
+        assert np.flatnonzero(flags).tolist() == sorted(want)
+        assert vecs.shape == (local.q, len(local.generators))
+        rows = np.array(list(want.values()), dtype=np.int64)
+        assert np.array_equal(vecs[list(want)], rows.reshape(len(want), -1))
+        assert not vecs[~flags].any()
+        for arr in (local.units, local.vectors, flags, vecs):
+            assert not arr.flags.writeable
 
 
 def test_dlog_memo_and_non_units():

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,130 @@ def test_primes_in_rejects_window_past_limit():
     with pytest.raises(ValueError, match="past limit"):
         PrimePowerStream(100).primes_in(250, 300)
     assert PrimePowerStream(100).primes_in(90, 101).tolist() == [97]
+
+
+# --------------------------------------------------------------- window cache
+
+def cached_windows():
+    return dict(pnt._WINDOWS._windows)
+
+
+def test_cached_windows_match_plain_sieve_and_are_read_only(monkeypatch):
+    psi_sum(_pair_source(), 10**6, checkpoints=(12_345, 600_000))
+    sieve_primes(250_000)
+    monkeypatch.setattr(pnt, "SEGMENT", 70_000)
+    psi_sum(_pair_source(), 300_000, chunk=40_000, workers=2)
+    windows = cached_windows()
+    assert len(windows) > 10
+    ref = plain_sieve_primes(10**6)
+    for (lo, hi), primes in windows.items():
+        assert primes.dtype == np.int64
+        assert not primes.flags.writeable, (lo, hi)
+        assert np.array_equal(primes, ref[(ref >= lo) & (ref < hi)]), (lo, hi)
+    assert pnt._WINDOWS.nbytes == sum(p.nbytes for p in windows.values())
+
+
+def test_window_hit_is_the_cached_array():
+    stream = PrimePowerStream(10**6)
+    first = stream.primes_in(1_000, 50_000)
+    assert PrimePowerStream(60_000).primes_in(1_000, 50_000) is first
+    with pytest.raises(ValueError):
+        first[0] = 4
+
+
+def test_sieve_primes_returns_a_fresh_writable_array():
+    for limit in (1, 1_000, pnt.SEGMENT + 1):
+        primes = sieve_primes(limit)
+        assert primes.flags.writeable
+        if primes.size:
+            primes[0] = -1
+        assert sieve_primes(limit).tolist() == plain_sieve_primes(limit).tolist()
+
+
+def test_stream_past_the_budget_leaves_the_cache_as_it_was():
+    assert PrimePowerStream(10**7).cached
+    stream = PrimePowerStream(2 * 10**7)  # its base primes enter the cache
+    assert not stream.cached
+    before = cached_windows()
+    assert before
+    primes = stream.primes_in(10**7, 10**7 + 5_000)
+    assert not primes.flags.writeable
+    assert primes.tolist() == expected_primes(10**7, 10**7 + 5_000)
+    after = cached_windows()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+
+
+def test_window_cache_evicts_least_recently_used():
+    cache = pnt._WindowCache(budget=32)
+    a, b, c = (np.arange(2, dtype=np.int64) + i for i in range(3))
+    cache.put((0, 1), a)
+    cache.put((1, 2), b)
+    assert cache.get((0, 1)) is a          # now (1, 2) is the oldest
+    cache.put((2, 3), c)
+    assert cache.get((1, 2)) is None
+    assert cache.get((0, 1)) is a and cache.get((2, 3)) is c
+    assert cache.nbytes == 32
+    cache.put((3, 4), np.arange(5, dtype=np.int64))  # larger than the budget
+    assert cache.get((3, 4)) is None
+    assert cache.get((0, 1)) is a and cache.nbytes == 32
+
+
+def test_psi_sum_never_pushes_the_cache_past_its_budget(monkeypatch):
+    # with SEGMENT below the chunk every report block is a window of its
+    # own, so each checkpoint set makes new windows: about twice the
+    # budget over the 30 sets
+    monkeypatch.setattr(pnt, "SEGMENT", 1)
+    source = _pair_source()
+    rng = np.random.default_rng(12)
+    first = None
+    for _ in range(30):
+        checkpoints = rng.integers(2, 2 * 10**6, size=12).tolist()
+        psi_sum(source, 2 * 10**6, checkpoints=checkpoints, chunk=100_000)
+        windows = cached_windows()
+        first = first or set(windows)
+        assert pnt._WINDOWS.nbytes <= pnt.WINDOW_CACHE_BYTES
+        assert pnt._WINDOWS.nbytes == sum(p.nbytes for p in windows.values())
+    assert not first <= set(cached_windows())  # the budget forced evictions
+
+
+def test_psi_sum_bits_repeat_with_the_cache_warm():
+    source = _pair_source(tau=0.5)
+    runs = [psi_sum(source, 10**6, workers=w).psi for w in (1, 1, 3, 3)]
+    bits = [[(z.real.hex(), z.imag.hex()) for z in psi] for psi in runs]
+    assert bits[0] == bits[1] == bits[2] == bits[3]
+
+
+def test_window_cache_under_thread_contention(monkeypatch):
+    # more threads than cores and a short switch interval; a budget of a few
+    # windows forces evictions, so a lost update would break the byte count
+    monkeypatch.setattr(pnt, "_WINDOWS", pnt._WindowCache(budget=40_000))
+    ref = plain_sieve_primes(200_000)
+    windows = [(lo, lo + width) for lo in range(0, 190_000, 3_000)
+               for width in (4_000, 9_000)]
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(windows))
+        stream = PrimePowerStream(200_000)
+        for i in order.tolist():
+            lo, hi = windows[i]
+            got = stream.primes_in(lo, hi)
+            if not np.array_equal(got, ref[(ref >= lo) & (ref < hi)]):
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = [f.result(timeout=120)
+                       for f in [pool.submit(work, s) for s in range(12)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)
+    held = dict(pnt._WINDOWS._windows)
+    assert pnt._WINDOWS.nbytes == sum(p.nbytes for p in held.values())
+    assert pnt._WINDOWS.nbytes <= 40_000
 
 
 def test_higher_powers_complete_and_unique():

@@ -17,7 +17,7 @@ from bclab.characters import (
 from bclab.config import parse_config
 from bclab.fields import fields_up_to_conductor, make_field
 from bclab.automorphic import GalHeckeChar, base_change, bc_fiber, trivial_over
-from bclab.pnt import sieve_primes
+from bclab.pnt import PrimePowerStream, sieve_primes
 from bclab.rankin_selberg import (
     RsCoeffSource,
     _fiber_residue_table,
@@ -34,6 +34,7 @@ from bclab.rankin_selberg import (
 from bclab.verify import absorption_quadruples
 from oracles import (
     FractionChar,
+    MemoisedRsSource,
     fiber_residue_table_loop,
     twist_absorption_oracle,
     twist_absorption_per_prime,
@@ -172,6 +173,27 @@ def test_conjugation_swap_rejects_limit_without_unramified_prime(limit):
     assert conjugation_swap_consistent(pi, pi_prime, limit=3)
 
 
+@pytest.mark.parametrize("order", [(1, 2, 3, 4, 1), (4, 2, 1, 3, 4)])
+def test_coeff_at_matches_memoised_product_tables(order):
+    configs = [(field, omega) for field in fields_up_to_conductor(30)
+               for omega in subgroup_characters(field.ambient, field.subgroup)]
+    rng = random.Random(12)
+    cfgs = [parse_config((THM11.parent / f"{name}.cfg").read_text())
+            for name in ("thm11", "dihedral", "empty_t", "twist")]
+    pairs = [(cfg.pi(), cfg.pi_prime()) for cfg in cfgs]
+    pairs += [(GalHeckeChar(*rng.choice(configs), rng.choice([0.0, 0.75])),
+               GalHeckeChar(*rng.choice(configs))) for _ in range(12)]
+    for pi, pi_prime in pairs:
+        src = RsCoeffSource(pi, pi_prime)
+        memo = MemoisedRsSource(src)
+        primes = np.array([p for p in sieve_primes(20_000).tolist()
+                           if p not in src.excluded_primes], dtype=np.int64)
+        for k in order:
+            got = src.coeff_at(primes, k)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == memo.coeff_at(primes, k).tobytes(), k
+
+
 def test_source_tau_factor():
     src = RsCoeffSource(trivial_over(sqrt5(), tau=0.5),
                         trivial_over(gaussian()))
@@ -259,6 +281,24 @@ def test_prime_powers_are_every_p_k_off_the_excluded_primes(excluded):
         got = _prime_powers(limit, excluded)
         assert got.dtype == np.int64
         assert sorted(got.tolist()) == want
+
+
+def test_absorption_sieves_each_limit_once(monkeypatch):
+    sieved = []
+    sieve = PrimePowerStream._sieve
+
+    def counting(stream, lo, hi):
+        sieved.append((lo, hi))
+        return sieve(stream, lo, hi)
+
+    monkeypatch.setattr(PrimePowerStream, "_sieve", counting)
+    quads = list(absorption_quadruples(3))
+    assert twist_absorption_check(*quads[0], 10_000)
+    assert len(sieved) == len(set(sieved)) > 0
+    windows = len(sieved)
+    for quad in quads:
+        assert twist_absorption_check(*quad, 10_000)
+    assert len(sieved) == windows
 
 
 def test_absorption_matches_per_prime_loop_on_criterion_9():
