@@ -7,39 +7,65 @@ block's partial sum is formed the same way every run, and the cross-block
 reduction uses error-free summation in a fixed order, so reports are
 bit-identical across runs and worker counts.
 
-Sieve segments are decoupled from report blocks.  A segment is a maximal run
-of consecutive report blocks spanning at most SEGMENT integers, sized so its
-odd-only mask (1.5 MB) stays in a 4 MiB L2 cache; it is sieved once and its
-primes are split at the block edges.  Each block therefore still sees exactly
-the prime array it would get from sieving it alone, and its partial sum, and
-with it the report, does not depend on SEGMENT.
+The support.  A source's a(p) is nonzero, for p prime to its `modulus`,
+only when p mod modulus lies in its `support`.  For a pair a(p) =
+A_1(p mod M) p^{i tau0}, and A_1 vanishes off the classes split in both
+fields (H_E and H_F lifted mod M), which can be a few percent of the
+units; off them the float tables hold only the residue of cancelled fiber
+sums.  So the k = 1 sum runs over the primes of the support alone, and the
+higher powers p^k, k >= 2, over every prime outside `excluded_primes`.
 
-A segment's mask holds one byte per odd number and starts as a copy of a
-wheel pattern with the multiples of 3, 5, 7, 11 and 13 already crossed off;
-only base primes from 17 up are sieved per segment.  This is the segmented
-design of T. Oliveira e Silva ("Fast implementation of the segmented sieve
-of Eratosthenes") and K. Walisch's primesieve, reduced to what numpy slicing
-can do.
+Class layouts.  The one sieve here crosses off composites among the
+integers of k' odd classes mod an even M' (the lifts): a mask row holds one
+byte per lift for the integers row0 + j*M' + lift, so the flat mask runs
+through them in ascending order and `flatnonzero` yields ascending primes.
+Each base prime p from 17 up crosses one slice per lift with stride p*k'.
+The mask starts as a rotation of the layout's wheel pattern, built on first
+use by one rule for every layout: the multiples of the wheel primes 3..13
+that do not divide M' are already crossed off, and the wheel primes in the
+classes are patched back in, as is 2 when the classes hold it.  The odd
+layout (M', lifts) = (2, (1,)) sieves every prime; its wheel is the
+mod-15015 pattern of odd numbers.  This is the segmented design of
+T. Oliveira e Silva ("Fast implementation of the segmented sieve of
+Eratosthenes") and K. Walisch's primesieve, restricted to residue classes
+and reduced to what numpy slicing can do.
+
+Which layout psi_sum sieves (`_sieve_classes`).  A trace that fits the
+window cache (up to about 1.3e7) reads the shared odd windows and keeps the
+primes whose residue lies in the support.  A longer trace sieves the
+support's k' lifts mod M' = lcm(2, M) when 2 k'^2 <= M', and otherwise odd
+windows plus the same filter: slices per integer scale as k'^2 / M', and
+the rule keeps them at most the odd layout's 1/2.
+
+Sieve segments are decoupled from report blocks.  A segment is a maximal
+run of consecutive report blocks spanning at most a layout's span
+(`_span`): as many integers as a 1.5 MB mask holds, SEGMENT = 3e6 in the
+odd layout, so the mask stays in a 4 MiB L2 cache, and for a wider layout
+at most as many as give each worker SEGMENTS_PER_WORKER segments.  A
+segment is sieved once and its primes are split at the block edges, so
+each block sees exactly the primes it would get from sieving it alone, and
+the report does not depend on the span.
 
 It is the library's one sieve: `sieve_primes(limit)` concatenates a
 stream's windows, and a stream takes its base primes from `sieve_primes`
 at the square root of its limit.  The recursion ends in the wheel: every
 odd composite below 17^2 has a factor from 3 to 13, so a stream whose limit
 is below 289 needs no base prime beyond the wheel primes.  The higher prime
-powers p^k, k >= 2, are few (O(sqrt x)); `higher_power_coeffs` gathers
-their coefficients with one `coeff_at` call per k for `psi_sum` and for
+powers are few (O(sqrt x)); `higher_power_coeffs` gathers their
+coefficients with one `coeff_at` call per k for `psi_sum` and for
 `bclab rs --csv` alike.
 
 The primes of a window [lo, hi) do not depend on the stream that asks for
-them, so `primes_in` keeps the windows it sieves in one process-wide cache,
-keyed by (lo, hi) and shared by every stream and thread: `psi_sum`,
-`sieve_primes`, the streams' base primes and `rankin_selberg`'s prime powers
-each sieve a window once per process.  The cache holds at most
-WINDOW_CACHE_BYTES of prime arrays and evicts the least recently used
-window first.  A stream takes part only when all its primes fit that budget
-by the Rosser-Schoenfeld bound pi(x) < 1.25506 x / ln x, so a 1e7 trace is
-cached and a 1e8 or 1e9 trace neither enters nor evicts anything.  Windows
-are handed out as read-only int64 arrays, cached or not.
+them, so `primes_in` keeps the odd-layout windows it sieves in one
+process-wide cache, keyed by (lo, hi) and shared by every stream and
+thread: `psi_sum`, `sieve_primes`, the streams' base primes and
+`rankin_selberg`'s prime powers each sieve a window once per process.  The
+cache holds at most WINDOW_CACHE_BYTES of prime arrays and evicts the least
+recently used window first.  A stream takes part only when all its primes
+fit that budget by the Rosser-Schoenfeld bound pi(x) < 1.25506 x / ln x, so
+a 1e7 trace is cached and a 1e8 or 1e9 trace neither enters nor evicts
+anything; class layouts never do.  Windows are handed out as read-only
+int64 arrays, cached or not.
 """
 
 from __future__ import annotations
@@ -51,24 +77,21 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_CHUNK = 1_000_000
-# Integers per sieve segment: three default report blocks, whose odd-only
-# mask (1.5 MB) stays in L2.  Larger segments spill out of the cache and
-# sieve slower per block.
+# Integers per sieve segment in the odd layout: three default report blocks,
+# whose odd-only mask (1.5 MB) stays in L2.  Larger masks spill out of the
+# cache and sieve slower per block.  A class layout keeps the mask size, so
+# its segments span more integers (`_span`).
 SEGMENT = 3_000_000
+# A class layout's wider segments are cut so that each worker still gets at
+# least this many of them.
+SEGMENTS_PER_WORKER = 4
 
-# Odd-only wheel: _WHEEL[j] says whether the odd number 2j + 1 is prime to
-# every wheel prime.  Odd numbers repeat their residues mod the wheel primes
-# with period 3*5*7*11*13 in index space, so a segment's mask starts as a
-# rotation of this pattern.
-_WHEEL_PERIOD = 15015
-_WHEEL = np.ones(_WHEEL_PERIOD, dtype=bool)
-for _q in (3, 5, 7, 11, 13):
-    _WHEEL[(_q - 1) // 2::_q] = False  # 2j + 1 = 0 mod q
-_WHEEL_TWICE = np.concatenate((_WHEEL, _WHEEL))
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 
 # Bytes of prime arrays the window cache may hold: all primes below 1e7
@@ -107,6 +130,49 @@ class _WindowCache:
 _WINDOWS = _WindowCache(WINDOW_CACHE_BYTES)
 
 
+def _fits_cache(limit: int) -> bool:
+    """Whether all primes up to `limit` fit the window cache's budget by
+    Rosser-Schoenfeld: pi(x) < 1.25506 x / ln x for every x > 1, and each
+    prime takes 8 bytes."""
+    return 1.25506 * limit / math.log(limit) * 8 <= WINDOW_CACHE_BYTES
+
+
+def _layout(classes) -> tuple[int, tuple[int, ...]]:
+    """(M', lifts): the odd residues mod M' = lcm(2, modulus) that reduce
+    into the classes (modulus, residues), ascending; (2, (1,)) for None,
+    every prime.  One class r mod M has one odd lift when M is odd (r or
+    r + M) and is odd itself when M is even, so there are as many lifts as
+    classes."""
+    if classes is None:
+        return 2, (1,)
+    modulus, residues = classes
+    wide = math.lcm(2, modulus)
+    return wide, tuple(s for s in range(1, wide, 2) if s % modulus in residues)
+
+
+@lru_cache(maxsize=16)
+def _wheel(modulus: int, lifts: tuple[int, ...]) -> np.ndarray:
+    """The wheel pattern of a layout, two periods of it, read-only.
+
+    wheel[j, c] says whether j * modulus + lifts[c] is prime to every wheel
+    prime q in 3..13 that does not divide `modulus` (a q dividing it divides
+    no unit class).  The rows repeat with period the product of those q, so
+    a segment's mask starts as a rotation of this pattern.  For the odd
+    layout (2, (1,)) row j is the odd number 2j + 1 and the period 15015.
+    Built on first use, not at import.
+    """
+    primes = [q for q in _WHEEL_PRIMES if modulus % q]
+    period = math.prod(primes)
+    wheel = np.ones((period, len(lifts)), dtype=bool)
+    for q in primes:
+        inverse = pow(modulus, -1, q)
+        for c, s in enumerate(lifts):
+            wheel[-s * inverse % q::q, c] = False  # j * modulus + s = 0 mod q
+    twice = np.concatenate((wheel, wheel))
+    twice.flags.writeable = False
+    return twice
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as a fresh, writable int64 array: the stream's
     windows of at most SEGMENT integers, concatenated."""
@@ -119,22 +185,46 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 class PrimePowerStream:
     """Prime powers up to a limit: primes in sieved blocks, higher powers
-    enumerated directly from the base primes (there are only O(sqrt x))."""
+    enumerated directly from the base primes (there are only O(sqrt x)).
 
-    def __init__(self, limit: int, chunk: int = DEFAULT_CHUNK):
+    `classes`, a pair (modulus, residues) of unit residues mod modulus,
+    restricts the sieved primes to those classes; None keeps every prime.
+    Base primes, block edges and higher powers do not depend on it.
+    """
+
+    def __init__(self, limit: int, chunk: int = DEFAULT_CHUNK, classes=None):
         if limit < 2:
             raise ValueError(f"stream limit must be at least 2, got {limit}")
         self.limit = int(limit)
         self.chunk = int(chunk)
-        # Rosser-Schoenfeld: pi(x) < 1.25506 x / ln x for every x > 1; each
-        # prime takes 8 bytes.
-        self.cached = (1.25506 * self.limit / math.log(self.limit) * 8
-                       <= WINDOW_CACHE_BYTES)
+        small = _SMALL_PRIMES
+        if classes is not None:
+            modulus, residues = int(classes[0]), frozenset(classes[1])
+            if modulus < 1 or not residues or any(
+                    not 0 <= r < modulus or math.gcd(r, modulus) != 1
+                    for r in residues):
+                raise ValueError(f"classes must be unit residues mod "
+                                 f"{modulus}, got {sorted(residues)}")
+            classes = modulus, residues
+            small = small[np.isin(small % modulus, list(residues))]
+        self.cached = classes is None and _fits_cache(self.limit)
         root = math.isqrt(self.limit)
         # Below 17^2 the wheel alone leaves only primes, so primes_in needs no
         # base prime from 17 up and the recursion ends here.
         self.base_primes = (sieve_primes(root) if root >= 17 else
                             _SMALL_PRIMES[_SMALL_PRIMES <= root])
+        self.modulus, self.lifts = _layout(classes)
+        self._small = small
+        self._lift_array = np.array(self.lifts, dtype=np.int64)
+        # Each base prime p from 17 up, prime to M', crosses off in lift c the
+        # rows J = -lifts[c] / M' mod p of the global row numbering (row J
+        # holds J * M' + lifts[c]).
+        base = self.base_primes
+        ps = base[(base >= 17) & (self.modulus % base != 0)]
+        inverses = np.array([pow(self.modulus, -1, p) for p in ps.tolist()],
+                            dtype=np.int64)
+        self._cross_primes = ps
+        self._cross_rows = (-self._lift_array * inverses[:, None]) % ps[:, None]
 
     def block_edges(self, breakpoints=()) -> list[int]:
         edges = {2, self.limit + 1}
@@ -146,9 +236,9 @@ class PrimePowerStream:
         return sorted(edges)
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
-        """Primes in [lo, hi), for hi <= limit + 1, as a read-only int64
-        array: from the window cache when the stream takes part in it (see
-        the module docstring), else sieved."""
+        """Primes in [lo, hi) and in the stream's classes, for hi <= limit + 1,
+        as a read-only int64 array: from the window cache when the stream
+        takes part in it (see the module docstring), else sieved."""
         if hi > self.limit + 1:
             raise ValueError(f"window end {hi} lies past limit + 1 = "
                              f"{self.limit + 1}; base primes stop at its root")
@@ -161,32 +251,59 @@ class PrimePowerStream:
         return primes
 
     def _sieve(self, lo: int, hi: int) -> np.ndarray:
-        """Primes in [lo, hi) by the segmented sieve, read-only.
+        """Primes in [lo, hi) and in the classes by the segmented sieve,
+        read-only.
 
-        mask[i] stands for the odd number first + 2i; 2 and the wheel primes
-        are crossed off by the wheel pattern and patched back in.
+        Row j of the mask holds the integers row0 + j * M' + lifts[c], one
+        byte per lift, so the flat mask runs through them in ascending
+        order.  The wheel primes (and 2) are crossed off by the wheel
+        pattern, and those in the classes are patched back in.
         """
-        small = _SMALL_PRIMES[(_SMALL_PRIMES >= lo) & (_SMALL_PRIMES < hi)]
-        first = max(lo, 3) | 1
-        n = (hi - first + 1) // 2
-        if n <= 0:
+        small = self._small[(self._small >= lo) & (self._small < hi)]
+        if hi <= max(lo, 2):
             small.flags.writeable = False
             return small
-        offset = (first // 2) % _WHEEL_PERIOD
-        mask = np.resize(_WHEEL_TWICE[offset:offset + _WHEEL_PERIOD], n)
-        base = self.base_primes
-        ps = base[np.searchsorted(base, 17):
-                  np.searchsorted(base, math.isqrt(hi - 1), side="right")]
-        start = np.maximum(ps * ps, -(-first // ps) * ps)
-        start += ((start & 1) == 0) * ps  # the first odd multiple
-        idx = (start - first) // 2
+        modulus, lifts = self.modulus, self._lift_array
+        k = lifts.size
+        row0 = lo - lo % modulus
+        rows = -(-(hi - row0) // modulus)
+        n = rows * k
+        wheel = _wheel(modulus, self.lifts)
+        period = wheel.shape[0] // 2
+        offset = row0 // modulus % period
+        mask = np.resize(wheel[offset:offset + period].ravel(), n)
+        # the first row's integers below lo, the last row's from hi, and 1
+        mask[:np.searchsorted(lifts, lo - row0)] = False
+        mask[n - k + np.searchsorted(lifts, hi - row0 - (rows - 1) * modulus):
+             ] = False
+        if row0 == 0 and lifts[0] == 1:
+            mask[0] = False
+        end = np.searchsorted(self._cross_primes, math.isqrt(hi - 1),
+                              side="right")
+        ps = self._cross_primes[:end, None]
+        # first row J >= row0 / M' with J = _cross_rows mod p and
+        # J * M' + lift >= p^2
+        first = np.maximum(row0 // modulus, -((lifts - ps * ps) // modulus))
+        first += (self._cross_rows[:end] - first) % ps
+        idx = (first - row0 // modulus) * k + np.arange(k)
         live = idx < n
-        for i, p in zip(idx[live].tolist(), ps[live].tolist()):
-            mask[i::p] = False
-        odd = np.flatnonzero(mask)
-        odd *= 2
-        odd += first
-        primes = np.concatenate((small, odd))
+        steps = np.broadcast_to(ps * k, idx.shape)
+        for i, step in zip(idx[live].tolist(), steps[live].tolist()):
+            mask[i::step] = False
+        primes = np.flatnonzero(mask)
+        del mask  # freed before the conversion's temporary: lower peak RSS
+        if k == 1:
+            primes *= modulus
+            primes += row0 + self.lifts[0]
+        else:
+            col = primes % k
+            primes //= k
+            primes *= modulus
+            # in place: each col[i] is read before its slot is written
+            np.take(row0 + lifts, col, out=col, mode="clip")
+            primes += col
+        if small.size:
+            primes = np.concatenate((small, primes))
         primes.flags.writeable = False
         return primes
 
@@ -289,16 +406,42 @@ def _resolve_workers(workers: int | None) -> int:
     return min(4, cpus)
 
 
-def _segments(blocks: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Maximal runs of consecutive blocks spanning at most SEGMENT integers;
-    a block wider than SEGMENT is a segment of its own."""
+def _span(stream: PrimePowerStream, workers: int) -> int:
+    """Integers per sieve segment for the stream's layout: as many as a mask
+    of the odd layout's size holds (SEGMENT in the odd layout, SEGMENT * M'
+    / (2 k') with k' lifts mod M'), but for a wider layout no more than
+    gives each worker SEGMENTS_PER_WORKER segments."""
+    wide = SEGMENT * stream.modulus // (2 * len(stream.lifts))
+    return max(SEGMENT, min(wide,
+                            stream.limit // (SEGMENTS_PER_WORKER * workers)))
+
+
+def _segments(blocks: list[tuple[int, int]], span: int
+              ) -> list[list[tuple[int, int]]]:
+    """Maximal runs of consecutive blocks spanning at most `span` integers;
+    a block wider than that is a segment of its own."""
     segments = []
     for lo, hi in blocks:
-        if segments and hi - segments[-1][0][0] <= SEGMENT:
+        if segments and hi - segments[-1][0][0] <= span:
             segments[-1].append((lo, hi))
         else:
             segments.append([(lo, hi)])
     return segments
+
+
+def _sieve_classes(limit: int, modulus: int, support):
+    """The classes psi_sum sieves for a trace to `limit`: (modulus, support),
+    or None for every prime, filtered by residue afterwards.
+
+    A trace that fits the window cache reads the shared windows of every
+    prime.  Otherwise the support's k' lifts mod M' = lcm(2, modulus) are
+    sieved when 2 k'^2 <= M': base primes cross off k' slices each over a
+    mask of k' / M' bytes per integer, so slices per integer scale as
+    k'^2 / M', and this keeps them at most the odd layout's 1/2.
+    """
+    if _fits_cache(limit) or 2 * len(support) ** 2 > math.lcm(2, modulus):
+        return None
+    return modulus, support
 
 
 def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
@@ -307,8 +450,11 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
     """Accumulate psi(t) = sum_{p^k <= t} log(p) a(p^k) at each checkpoint.
 
     The source protocol: `coeff_at(primes, k)` returns a(p^k) for an int64
-    array of primes; `excluded_primes` holds the primes that never enter the
-    sum; `multiplicity` and `tau0` are the pole data of the main term, used
+    array of primes; `modulus` and `support` say that a(p) is zero for a
+    prime p not dividing the modulus unless p mod modulus lies in the
+    support (a sequence of residues), and only such primes enter the k = 1
+    sum; `excluded_primes` holds the primes that never enter the sum;
+    `multiplicity` and `tau0` are the pole data of the main term, used
     unless overridden here.
     """
     x = int(x)
@@ -323,12 +469,18 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
     if any(c < 2 or c > x for c in checkpoints):
         raise ValueError("checkpoints must lie in [2, limit]")
 
-    stream = PrimePowerStream(x, chunk=chunk)
+    modulus = int(source.modulus)
+    support = sorted({int(r) for r in source.support})
+    in_support = np.zeros(modulus, dtype=bool)
+    in_support[support] = True
+    classes = _sieve_classes(x, modulus, support)
+    stream = PrimePowerStream(x, chunk=chunk, classes=classes)
     excluded = np.array(sorted(source.excluded_primes), dtype=np.int64)
 
     edges = stream.block_edges(checkpoints)
     blocks = list(zip(edges[:-1], edges[1:]))
-    segments = _segments(blocks)
+    n_workers = _resolve_workers(workers)
+    segments = _segments(blocks, _span(stream, n_workers))
     # Excluded primes are usually the few ramified ones: most segments start
     # above them all and skip np.isin.
     last_excluded = int(excluded[-1]) if excluded.size else 0
@@ -342,12 +494,14 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
     def segment_parts(segment):
         """Sieve the segment once; one partial sum per report block."""
         primes = stream.primes_in(segment[0][0], segment[-1][1])
+        if classes is None:
+            primes = primes[in_support[primes % modulus]]
         if primes.size and primes[0] <= last_excluded:
             primes = primes[~np.isin(primes, excluded)]
         cuts = np.searchsorted(primes, [hi for _, hi in segment[:-1]])
         return [block_part(part) for part in np.split(primes, cuts)]
 
-    n_workers = min(_resolve_workers(workers), len(segments))
+    n_workers = min(n_workers, len(segments))
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             per_segment = list(pool.map(segment_parts, segments))

@@ -102,6 +102,8 @@ class RsCoeffSource:
 
     a(p^k) = (sum_i chi_i(p^k)) * conj(sum_j psi_j(p^k)) * p^{i k tau0},
     evaluated through residue tables modulo the common ambient modulus.
+    `support` holds the residues mod `modulus` where a(p) is nonzero for p
+    prime to the modulus (`split_classes`).
     """
 
     def __init__(self, pi: GalHeckeChar, pi_prime: GalHeckeChar):
@@ -112,6 +114,7 @@ class RsCoeffSource:
         self.tau0 = (pi.tau - pi_prime.tau)
         self.modulus = pair_modulus(pi, pi_prime)
         self.excluded_primes = ramified_primes(pi, pi_prime)
+        self.support = split_classes(pi.field, pi_prime.field, self.modulus)
         self._left = _fiber_residue_table(self.pair_set.fiber_left, self.modulus)
         self._right = _fiber_residue_table(self.pair_set.fiber_right, self.modulus)
         self._product1 = self._product(1)
@@ -130,6 +133,26 @@ class RsCoeffSource:
         if self.tau0:
             vals = vals * np.exp(1j * self.tau0 * k * np.log(p.astype(float)))
         return vals
+
+
+def split_classes(e: AbelianField, f: AbelianField, modulus: int
+                  ) -> tuple[int, ...]:
+    """The residues r mod `modulus`, the lcm of the two field moduli, with
+    r in H_E and r in H_F, ascending: the classes of the primes that split
+    completely in both fields.  H_E and H_F hold units only, so every such
+    r is a unit mod `modulus`.
+
+    The fiber of pi over E is the [E:Q] characters extending omega from
+    H_E, so by orthogonality of the characters trivial on H_E its fiber sum
+    at a unit r is [E:Q] chi_0(r) on H_E and 0 off it.  A pair's a(p) is
+    therefore nonzero, of absolute value [E:Q][F:Q], exactly on these
+    classes.  Computed from the subgroups in integers.
+    """
+    residues = np.arange(modulus, dtype=np.int64)
+    keep = np.ones(modulus, dtype=bool)
+    for field in (e, f):
+        keep &= np.isin(residues % field.modulus, sorted(field.subgroup))
+    return tuple(np.flatnonzero(keep).tolist())
 
 
 @lru_cache(maxsize=None)

@@ -417,7 +417,8 @@ def fiber_tower_labels_oracle(pi, fiber):
 
 def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
     """psi at each of the sorted checkpoints (x among them), one sieve per
-    report block, in one thread."""
+    report block, in one thread; the k = 1 sum runs over the primes whose
+    residue mod `source.modulus` lies in `source.support`."""
     stream = PrimePowerStream(x, chunk=chunk)
     excluded = np.array(sorted(set(source.excluded_primes)), dtype=np.int64)
     powers = stream.higher_powers()
@@ -441,6 +442,7 @@ def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
     power_idx = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
         primes = stream.primes_in(lo, hi)
+        primes = primes[np.isin(primes % source.modulus, list(source.support))]
         if excluded.size:
             primes = primes[~np.isin(primes, excluded)]
         part = 0j
@@ -474,6 +476,9 @@ class DirichletSource:
             if multiplicity is None else multiplicity
         self.tau0 = self.tau
         f = chi.conductor
+        # every unit class: a(p) is a root of unity for p prime to f
+        self.modulus = f
+        self.support = tuple(r for r in range(f) if gcd(r, f) == 1)
         self._table = np.array([chi.value(r) for r in range(f)],
                                dtype=np.complex128)
 
@@ -492,6 +497,7 @@ class MemoisedRsSource:
         self._left = source._left
         self._right = source._right
         self.modulus = source.modulus
+        self.support = source.support
         self.tau0 = source.tau0
         self._products = {}
 

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -132,6 +133,119 @@ def test_primes_in_rejects_window_past_limit():
     with pytest.raises(ValueError, match="past limit"):
         PrimePowerStream(100).primes_in(250, 300)
     assert PrimePowerStream(100).primes_in(90, 101).tolist() == [97]
+
+
+# -------------------------------------------------------------- class layouts
+
+def unit_residues(m):
+    return [r for r in range(m) if math.gcd(r, m) == 1]
+
+
+def expected_class_primes(lo, hi, classes):
+    modulus, residues = classes
+    ref = np.array(expected_primes(lo, hi), dtype=np.int64)
+    return ref[np.isin(ref % modulus, list(residues))].tolist()
+
+
+@st.composite
+def class_sets(draw):
+    """A modulus up to 120, odd or even, and a nonempty set of its unit
+    classes; often one holding a prime from 2 to 13."""
+    m = draw(st.integers(1, 120))
+    units = unit_residues(m)
+    residues = set(draw(st.lists(st.sampled_from(units), min_size=1,
+                                 max_size=8, unique=True)))
+    small = [p % m for p in (2, 3, 5, 7, 11, 13) if m % p]
+    if small and draw(st.booleans()):
+        residues.add(draw(st.sampled_from(small)))
+    return m, sorted(residues)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_sets(),
+       st.one_of(st.integers(0, 300), st.integers(0, SIEVE_LIMIT)),
+       st.one_of(st.integers(0, 60), st.integers(0, WHEEL_SPAN),
+                 st.integers(0, 3 * WHEEL_SPAN)))
+def test_class_stream_primes_in_matches_filtered_sieve(classes, lo, width):
+    hi = min(lo + width, SIEVE_LIMIT + 1)
+    got = PrimePowerStream(SIEVE_LIMIT, classes=classes).primes_in(lo, hi)
+    assert got.dtype == np.int64
+    assert not got.flags.writeable
+    assert got.tolist() == expected_class_primes(lo, hi, classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_sets(), st.integers(2, 20_000),
+       st.lists(st.integers(2, 20_000), max_size=4),
+       st.integers(5, 3_000))
+def test_class_stream_blocks_concatenate_to_filtered_sieve(
+        classes, limit, breakpoints, chunk):
+    # consecutive windows meet at every block edge
+    stream = PrimePowerStream(limit, chunk=chunk, classes=classes)
+    edges = stream.block_edges(breakpoints)
+    blocks = [stream.primes_in(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert np.concatenate(blocks).tolist() == \
+        expected_class_primes(0, limit + 1, classes)
+
+
+def test_class_streams_keep_the_small_primes_of_their_classes():
+    # every modulus up to 120, one class per small prime that is a unit,
+    # and all units: 2 is patched in for odd moduli, 3..13 by the wheel
+    for m in range(1, 121):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            if m % p == 0:
+                continue
+            classes = (m, [p % m])
+            stream = PrimePowerStream(2_000, classes=classes)
+            for lo, hi in ((0, 400), (p, p + 1), (250, 2_001)):
+                assert stream.primes_in(lo, hi).tolist() == \
+                    expected_class_primes(lo, hi, classes), (m, p, lo, hi)
+        every = (m, unit_residues(m))
+        assert PrimePowerStream(2_000, classes=every).primes_in(0, 2_001
+                                                                ).tolist() \
+            == expected_class_primes(0, 2_001, every), m
+
+
+def test_class_stream_shares_base_primes_and_edges_with_the_full_stream():
+    full = PrimePowerStream(10**6, chunk=7_000)
+    classes = PrimePowerStream(10**6, chunk=7_000, classes=(20, [1, 9]))
+    assert classes.base_primes.tolist() == full.base_primes.tolist()
+    assert classes.block_edges([5_000]) == full.block_edges([5_000])
+    assert classes.higher_powers() == full.higher_powers()
+    assert not classes.cached and full.cached
+    assert (classes.modulus, classes.lifts) == (20, (1, 9))
+    assert (PrimePowerStream(100, classes=(5, [1, 4])).lifts) == (1, 9)
+
+
+@pytest.mark.parametrize("classes", [
+    (0, [1]), (10, []), (10, [5]), (10, [0]), (10, [11]), (10, [-1]),
+])
+def test_class_stream_rejects_non_unit_classes(classes):
+    with pytest.raises(ValueError, match="unit residues"):
+        PrimePowerStream(1_000, classes=classes)
+
+
+def test_odd_layout_wheel_is_the_mod_15015_pattern():
+    # the odd-only wheel as the sieve built it before class layouts
+    old = np.ones(15015, dtype=bool)
+    for q in (3, 5, 7, 11, 13):
+        old[(q - 1) // 2::q] = False
+    wheel = pnt._wheel(2, (1,))
+    assert wheel.shape == (2 * 15015, 1) and not wheel.flags.writeable
+    assert wheel[:15015, 0].tobytes() == old.tobytes()
+    assert wheel[15015:, 0].tobytes() == old.tobytes()
+    # mod 20 the wheel skips 5, which divides no unit class
+    assert pnt._wheel(20, (1, 9)).shape == (2 * 3 * 7 * 11 * 13, 2)
+
+
+def test_wheel_patterns_are_built_lazily():
+    code = ("from bclab import pnt\n"
+            "assert pnt._wheel.cache_info().currsize == 0\n"
+            "pnt.sieve_primes(1000)\n"
+            "assert pnt._wheel.cache_info().currsize == 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   timeout=60)
 
 
 # --------------------------------------------------------------- window cache
@@ -397,6 +511,8 @@ def test_determinism_bit_for_bit():
         excluded_primes = src.excluded_primes
         multiplicity = src.multiplicity
         tau0 = src.tau0
+        modulus = src.modulus
+        support = src.support
 
         def coeff_at(self, p, k=1):
             return src.coeff_at(p, k)
@@ -411,14 +527,15 @@ def test_segments_are_maximal_runs_within_segment(monkeypatch):
     monkeypatch.setattr(pnt, "SEGMENT", 25)
     blocks = [(2, 12), (12, 13), (13, 27), (27, 80), (80, 90), (90, 95),
               (95, 106)]
-    assert _segments(blocks) == [[(2, 12), (12, 13), (13, 27)], [(27, 80)],
-                                 [(80, 90), (90, 95)], [(95, 106)]]
+    assert _segments(blocks, pnt.SEGMENT) == [
+        [(2, 12), (12, 13), (13, 27)], [(27, 80)], [(80, 90), (90, 95)],
+        [(95, 106)]]
 
     monkeypatch.setattr(pnt, "SEGMENT", 2_000)
     stream = PrimePowerStream(100_000, chunk=700)
     edges = stream.block_edges([5_000, 5_001, 77_777])
     blocks = list(zip(edges[:-1], edges[1:]))
-    segments = _segments(blocks)
+    segments = _segments(blocks, pnt.SEGMENT)
     assert [b for seg in segments for b in seg] == blocks
     assert max(len(seg) for seg in segments) >= 3
     assert all(seg[-1][1] - seg[0][0] <= 2_000 for seg in segments)
@@ -469,6 +586,103 @@ def test_segments_bit_identical_to_per_block_sieve(monkeypatch, name,
     rep = psi_sum(source, SEG_X, checkpoints=SEG_CHECKPOINTS,
                   chunk=SEG_CHUNK, workers=workers)
     assert rep.psi == expected
+
+
+def bits(psi):
+    return [(z.real.hex(), z.imag.hex()) for z in psi]
+
+
+def _config_source(name):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    return RsCoeffSource(cfg.pi(), cfg.pi_prime())
+
+
+def _mod31_self_pair():
+    # the degree-6 field mod 31 fixed by <2>: 2 splits completely in it, so
+    # the support {1, 2, 4, 8, 16} holds 2's class, and 2 * 5^2 <= 62
+    pi = trivial_over(make_field(31, [2]))
+    return RsCoeffSource(pi, pi)
+
+
+PATH_SOURCES = {name: (lambda name=name: _config_source(name))
+                for name in ("thm11", "dihedral", "empty_t", "twist")}
+PATH_SOURCES["mod31"] = _mod31_self_pair
+
+
+@pytest.mark.parametrize("name", sorted(PATH_SOURCES))
+def test_class_sieve_and_odd_windows_give_the_same_bits(monkeypatch, name):
+    # both paths, every segment size and worker count: the bits of the
+    # per-block oracle, which sums the support primes block by block
+    source = PATH_SOURCES[name]()
+    expected = bits(psi_per_block(source, SEG_X, SEG_CHECKPOINTS,
+                                  chunk=SEG_CHUNK))
+    for fits in (True, False):
+        monkeypatch.setattr(pnt, "_fits_cache", lambda limit, f=fits: f)
+        classes = pnt._sieve_classes(SEG_X, source.modulus, source.support)
+        assert (classes is None) == fits
+        for segment in (1, 9_999, 35_000, 10**9):
+            monkeypatch.setattr(pnt, "SEGMENT", segment)
+            for workers in (1, 2, 3):
+                rep = psi_sum(source, SEG_X, checkpoints=SEG_CHECKPOINTS,
+                              chunk=SEG_CHUNK, workers=workers)
+                assert bits(rep.psi) == expected, (fits, segment, workers)
+
+
+def test_support_prime_two_enters_the_sum():
+    # a(2) = 6 * 6 = 36 for the mod-31 self pair, so psi(2) = 36 log 2
+    source = _mod31_self_pair()
+    assert 2 in source.support
+    assert abs(source.coeff_at(np.array([2]), 1)[0] - 36) < 1e-12
+    rep = psi_sum(source, 100, checkpoints=[2, 100])
+    assert abs(rep.psi[0] - 36 * math.log(2)) < 1e-12
+
+
+# psi bits of full-support sources, frozen from the sieve before class
+# layouts: at 3e5 with checkpoints 12345 and 100002, 2 workers
+FULL_SUPPORT_BITS = {
+    "trivial": [("0x1.80f2566bde708p+13", "0x0.0p+0"),
+                ("0x1.86d39063fc4b0p+16", "0x0.0p+0"),
+                ("0x1.24a2fc57b2ec8p+18", "0x0.0p+0")],
+    "mod7_twisted": [("-0x1.3a030fdd29996p+5", "0x1.b23af969a41b2p+5"),
+                     ("-0x1.061808bb2a580p+7", "0x1.c0986bdee0ea0p+6"),
+                     ("0x1.d6bdbaf92ddd0p+2", "0x1.50425e246cecfp+8")],
+}
+
+
+@pytest.mark.parametrize("fits", [True, False])
+@pytest.mark.parametrize("name", sorted(FULL_SUPPORT_BITS))
+def test_full_support_sources_keep_their_bits(monkeypatch, name, fits):
+    source = (DirichletSource(trivial_char(1)) if name == "trivial" else
+              DirichletSource(DirichletChar(unit_group(7), [1]), tau=0.25))
+    monkeypatch.setattr(pnt, "_fits_cache", lambda limit: fits)
+    # modulus 1 sieves the odd layout itself; mod 7's 6 lifts do not pay
+    assert (pnt._sieve_classes(300_000, source.modulus, source.support)
+            is None) == (fits or name != "trivial")
+    for workers in (1, 2, 3):
+        rep = psi_sum(source, 300_000, checkpoints=(12_345, 100_002),
+                      workers=workers)
+        assert bits(rep.psi) == FULL_SUPPORT_BITS[name]
+
+
+def test_sieve_classes_rule():
+    assert pnt._sieve_classes(10**7, 20, [1, 9]) is None  # cached windows
+    assert pnt._sieve_classes(2 * 10**7, 20, [1, 9]) == (20, [1, 9])
+    assert pnt._sieve_classes(2 * 10**7, 20, [1, 9, 13]) == (20, [1, 9, 13])
+    assert pnt._sieve_classes(2 * 10**7, 20, [1, 3, 7, 9]) is None  # 32 > 20
+    assert pnt._sieve_classes(2 * 10**7, 5, [1, 4]) == (5, [1, 4])  # 8 <= 10
+    assert pnt._sieve_classes(2 * 10**7, 7, [1, 2, 4]) is None  # 18 > 14
+    assert pnt._sieve_classes(2 * 10**7, 1, [0]) == (1, [0])  # odd layout
+
+
+def test_span_keeps_the_mask_size_and_several_segments_per_worker():
+    odd = PrimePowerStream(10**9)
+    thm11 = PrimePowerStream(10**9, classes=(20, [1, 9]))
+    assert pnt._span(odd, 1) == pnt._span(odd, 4) == pnt.SEGMENT
+    # k' = 2 lifts mod 20: a 1.5 MB mask spans 1.5e7 integers
+    assert pnt._span(thm11, 2) == 15_000_000
+    # at 1e8 on 4 workers that would leave fewer than 4 segments each
+    short = PrimePowerStream(10**8, classes=(20, [1, 9]))
+    assert pnt._span(short, 4) == 10**8 // 16
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +15,10 @@ from bclab.characters import (
     unit_group,
 )
 from bclab.config import parse_config
-from bclab.fields import fields_up_to_conductor, make_field
+from bclab.fields import compositum, fields_up_to_conductor, make_field
 from bclab.automorphic import GalHeckeChar, base_change, bc_fiber, trivial_over
-from bclab.pnt import PrimePowerStream, sieve_primes
+from bclab import pnt
+from bclab.pnt import PrimePowerStream, psi_sum, sieve_primes
 from bclab.rankin_selberg import (
     RsCoeffSource,
     _fiber_residue_table,
@@ -36,6 +37,7 @@ from oracles import (
     FractionChar,
     MemoisedRsSource,
     fiber_residue_table_loop,
+    psi_per_block,
     twist_absorption_oracle,
     twist_absorption_per_prime,
 )
@@ -370,3 +372,62 @@ def test_fiber_residue_tables_match_scalar_loop():
             want = fiber_residue_table_loop(fiber, modulus)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------------- support
+
+@lru_cache(maxsize=None)
+def bound60_configs():
+    return [(field, omega) for field in fields_up_to_conductor(60)
+            for omega in subgroup_characters(field.ambient, field.subgroup)]
+
+
+def support_pairs(n, seed):
+    """The four configs' pairs, then n seeded bound-60 pairs, every other
+    one twisted on the left."""
+    pairs = []
+    for name in ("thm11", "dihedral", "empty_t", "twist"):
+        cfg = parse_config((THM11.parent / f"{name}.cfg").read_text())
+        pairs.append((cfg.pi(), cfg.pi_prime()))
+    rng = random.Random(seed)
+    configs = bound60_configs()
+    for i in range(n):
+        (e, omega), (f, omega_f) = rng.choice(configs), rng.choice(configs)
+        tau = rng.uniform(-1.0, 1.0) if i % 2 else 0.0
+        pairs.append((GalHeckeChar(e, omega, tau), GalHeckeChar(f, omega_f)))
+    return pairs
+
+
+def test_support_is_the_split_classes_of_both_fields():
+    primes = sieve_primes(5_000)
+    for pi, pi_prime in support_pairs(56, seed=13):
+        src = RsCoeffSource(pi, pi_prime)
+        e, f, m = pi.field, pi_prime.field, src.modulus
+        want = [r for r in range(m) if gcd(r, m) == 1
+                and r % e.modulus in e.subgroup
+                and r % f.modulus in f.subgroup]
+        assert list(src.support) == want
+        assert set(src.support) == set(compositum(e, f).subgroup)
+        ps = primes[m % primes != 0]
+        values = np.abs(src.coeff_at(ps, 1))
+        on = np.isin(ps % m, src.support)
+        assert on.any()
+        assert values[on].min() >= 1 - 1e-12
+        assert np.allclose(values[on], e.degree * f.degree, rtol=0,
+                           atol=1e-9)
+        if (~on).any():
+            assert values[~on].max() <= 1e-12
+
+
+def test_psi_sum_bits_over_paths_and_workers_on_seeded_pairs(monkeypatch):
+    x, checkpoints = 60_000, (10_000, 33_333, 60_000)
+    for pi, pi_prime in support_pairs(6, seed=29)[2:]:
+        src = RsCoeffSource(pi, pi_prime)
+        want = psi_per_block(src, x, checkpoints, chunk=7_000)
+        for fits in (True, False):
+            monkeypatch.setattr(pnt, "_fits_cache", lambda limit, f=fits: f)
+            for workers in (1, 2, 3):
+                got = psi_sum(src, x, checkpoints=checkpoints, chunk=7_000,
+                              workers=workers).psi
+                assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+                    [(z.real.hex(), z.imag.hex()) for z in want]
