@@ -185,8 +185,6 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_rs(args) -> int:
-    import numpy as np
-
     from .pnt import PrimePowerStream, higher_power_coeffs, sieve_primes
     from .rankin_selberg import (RsCoeffSource, thm1_1_applies,
                                  thm1_2_applies, twisted_pairs)
@@ -209,10 +207,10 @@ def cmd_rs(args) -> int:
     }
     _emit_json(payload, args.out)
     if args.csv:
-        # a(p^k) for every prime power p^k <= limit off the excluded primes
+        # a(p^k) for every prime power p^k <= limit, p prime to the modulus
         source = RsCoeffSource(pi, pi_prime)
         primes = sieve_primes(args.limit)
-        primes = primes[~np.isin(primes, list(source.excluded_primes))]
+        primes = primes[source.modulus % primes != 0]
         _, powers, vals = higher_power_coeffs(
             PrimePowerStream(args.limit), source)
         rows = list(zip(primes.tolist() + powers.tolist(),

@@ -13,7 +13,9 @@ A_1(p mod M) p^{i tau0}, and A_1 vanishes off the classes split in both
 fields (H_E and H_F lifted mod M), which can be a few percent of the
 units; off them the float tables hold only the residue of cancelled fiber
 sums.  So the k = 1 sum runs over the primes of the support alone, and the
-higher powers p^k, k >= 2, over every prime outside `excluded_primes`.
+higher powers p^k, k >= 2, over every prime not dividing the modulus.  The
+primes dividing it are excluded from every sum: no unit class holds one, so
+the support alone keeps them out at k = 1.
 
 Class layouts.  The one sieve here crosses off composites among the
 integers of k' odd classes mod an even M' (the lifts): a mask row holds one
@@ -173,6 +175,16 @@ def _wheel(modulus: int, lifts: tuple[int, ...]) -> np.ndarray:
     return twice
 
 
+def _check_units(what: str, modulus: int, residues) -> None:
+    """Raise ValueError unless `residues` is a nonempty set of units in
+    [0, modulus)."""
+    if modulus < 1 or not residues or any(
+            not 0 <= r < modulus or math.gcd(r, modulus) != 1
+            for r in residues):
+        raise ValueError(f"{what} must be unit residues mod {modulus}, "
+                         f"got {sorted(residues)}")
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as a fresh, writable int64 array: the stream's
     windows of at most SEGMENT integers, concatenated."""
@@ -195,16 +207,14 @@ class PrimePowerStream:
     def __init__(self, limit: int, chunk: int = DEFAULT_CHUNK, classes=None):
         if limit < 2:
             raise ValueError(f"stream limit must be at least 2, got {limit}")
+        if chunk < 1:
+            raise ValueError(f"stream chunk must be at least 1, got {chunk}")
         self.limit = int(limit)
         self.chunk = int(chunk)
         small = _SMALL_PRIMES
         if classes is not None:
             modulus, residues = int(classes[0]), frozenset(classes[1])
-            if modulus < 1 or not residues or any(
-                    not 0 <= r < modulus or math.gcd(r, modulus) != 1
-                    for r in residues):
-                raise ValueError(f"classes must be unit residues mod "
-                                 f"{modulus}, got {sorted(residues)}")
+            _check_units("classes", modulus, residues)
             classes = modulus, residues
             small = small[np.isin(small % modulus, list(residues))]
         self.cached = classes is None and _fits_cache(self.limit)
@@ -324,11 +334,11 @@ class PrimePowerStream:
 def higher_power_coeffs(stream: PrimePowerStream, source
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, p^k, a(p^k)) as arrays, ascending in p^k, for every prime power
-    p^k <= stream.limit with k >= 2 and p outside `source.excluded_primes`;
+    p^k <= stream.limit with k >= 2 and p not dividing `source.modulus`;
     one `coeff_at` call per exponent k."""
-    excluded = source.excluded_primes
+    modulus = int(source.modulus)
     ps, ks, powers = np.array(
-        [t for t in stream.higher_powers() if t[0] not in excluded],
+        [t for t in stream.higher_powers() if modulus % t[0]],
         dtype=np.int64).reshape(-1, 3).T
     vals = np.empty(ps.size, dtype=np.complex128)
     for k in np.unique(ks).tolist():
@@ -444,26 +454,20 @@ def _sieve_classes(limit: int, modulus: int, support):
     return modulus, support
 
 
-def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
-            chunk: int = DEFAULT_CHUNK, workers: int | None = None
+def psi_sum(source, x, checkpoints=None, workers: int | None = None
             ) -> PntReport:
     """Accumulate psi(t) = sum_{p^k <= t} log(p) a(p^k) at each checkpoint.
 
     The source protocol: `coeff_at(primes, k)` returns a(p^k) for an int64
-    array of primes; `modulus` and `support` say that a(p) is zero for a
-    prime p not dividing the modulus unless p mod modulus lies in the
-    support (a sequence of residues), and only such primes enter the k = 1
-    sum; `excluded_primes` holds the primes that never enter the sum;
-    `multiplicity` and `tau0` are the pole data of the main term, used
-    unless overridden here.
+    array of primes; `modulus` and `support` say that a(p) is zero unless
+    p mod modulus lies in the support, a nonempty sequence of unit residues,
+    and only such primes enter the k = 1 sum; a prime dividing the modulus
+    enters no sum; `multiplicity` and `tau0` are the pole data of the main
+    term.  Report blocks hold DEFAULT_CHUNK integers, read at call time.
     """
     x = int(x)
     if x < 100:
         raise ValueError(f"limit must be at least 100, got {x}")
-    if multiplicity is None:
-        multiplicity = source.multiplicity
-    if tau0 is None:
-        tau0 = source.tau0
     checkpoints = tuple(sorted(default_checkpoints(x) if checkpoints is None
                                else {int(c) for c in checkpoints} | {x}))
     if any(c < 2 or c > x for c in checkpoints):
@@ -471,19 +475,16 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
 
     modulus = int(source.modulus)
     support = sorted({int(r) for r in source.support})
+    _check_units("support", modulus, support)
     in_support = np.zeros(modulus, dtype=bool)
     in_support[support] = True
     classes = _sieve_classes(x, modulus, support)
-    stream = PrimePowerStream(x, chunk=chunk, classes=classes)
-    excluded = np.array(sorted(source.excluded_primes), dtype=np.int64)
+    stream = PrimePowerStream(x, chunk=DEFAULT_CHUNK, classes=classes)
 
     edges = stream.block_edges(checkpoints)
     blocks = list(zip(edges[:-1], edges[1:]))
     n_workers = _resolve_workers(workers)
     segments = _segments(blocks, _span(stream, n_workers))
-    # Excluded primes are usually the few ramified ones: most segments start
-    # above them all and skip np.isin.
-    last_excluded = int(excluded[-1]) if excluded.size else 0
 
     def block_part(primes):
         if primes.size:
@@ -496,8 +497,6 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
         primes = stream.primes_in(segment[0][0], segment[-1][1])
         if classes is None:
             primes = primes[in_support[primes % modulus]]
-        if primes.size and primes[0] <= last_excluded:
-            primes = primes[~np.isin(primes, excluded)]
         cuts = np.searchsorted(primes, [hi for _, hi in segment[:-1]])
         return [block_part(part) for part in np.split(primes, cuts)]
 
@@ -531,6 +530,7 @@ def psi_sum(source, x, checkpoints=None, multiplicity=None, tau0=None,
     if len(psi_values) != len(checkpoints):
         raise ArithmeticError("checkpoint alignment failed")
 
+    multiplicity, tau0 = source.multiplicity, source.tau0
     predicted = tuple(predicted_main_term(multiplicity, tau0, c)
                       for c in checkpoints)
     rel = tuple(abs(p - q) / c

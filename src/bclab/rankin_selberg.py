@@ -91,19 +91,14 @@ def pair_modulus(pi: GalHeckeChar, pi_prime: GalHeckeChar) -> int:
     return lcm(pi.field.modulus, pi_prime.field.modulus)
 
 
-def ramified_primes(pi: GalHeckeChar, pi_prime: GalHeckeChar) -> frozenset[int]:
-    """Primes excluded from every Euler product and partial sum for the pair:
-    the prime divisors of the common ambient modulus."""
-    return frozenset(p for p, _ in factorize(pair_modulus(pi, pi_prime)))
-
-
 class RsCoeffSource:
     """Streaming convolution coefficients a(p^k), vectorized over primes.
 
     a(p^k) = (sum_i chi_i(p^k)) * conj(sum_j psi_j(p^k)) * p^{i k tau0},
     evaluated through residue tables modulo the common ambient modulus.
-    `support` holds the residues mod `modulus` where a(p) is nonzero for p
-    prime to the modulus (`split_classes`).
+    `support` holds the residues mod `modulus` where a(p) is nonzero
+    (`split_classes`).  The primes dividing `modulus`, the ramified ones,
+    are excluded from every sum.
     """
 
     def __init__(self, pi: GalHeckeChar, pi_prime: GalHeckeChar):
@@ -113,7 +108,6 @@ class RsCoeffSource:
         self.multiplicity = self.pair_set.size
         self.tau0 = (pi.tau - pi_prime.tau)
         self.modulus = pair_modulus(pi, pi_prime)
-        self.excluded_primes = ramified_primes(pi, pi_prime)
         self.support = split_classes(pi.field, pi_prime.field, self.modulus)
         self._left = _fiber_residue_table(self.pair_set.fiber_left, self.modulus)
         self._right = _fiber_residue_table(self.pair_set.fiber_right, self.modulus)
@@ -239,8 +233,8 @@ def conjugation_swap_consistent(pi: GalHeckeChar, pi_prime: GalHeckeChar,
         return False
     if fwd.multiplicity and abs(fwd.tau0 + bwd.tau0) > TWIST_TOL:
         return False
-    ps = np.array([p for p in sieve_primes(limit).tolist()
-                   if p not in fwd.excluded_primes], dtype=np.int64)
+    ps = sieve_primes(limit)
+    ps = ps[fwd.modulus % ps != 0]
     if not ps.size:
         raise ValueError(f"no unramified prime up to limit {limit}")
     for k in (1, 2, 3):

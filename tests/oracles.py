@@ -36,7 +36,8 @@ from math import gcd, lcm
 import numpy as np
 
 from bclab.characters import DirichletChar, dual_group, factorize
-from bclab.pnt import DEFAULT_CHUNK, PrimePowerStream
+from bclab import pnt
+from bclab.pnt import PrimePowerStream
 
 
 def plain_sieve_primes(limit):
@@ -415,12 +416,12 @@ def fiber_tower_labels_oracle(pi, fiber):
     return tuple(degrees), labels
 
 
-def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
+def psi_per_block(source, x, checkpoints):
     """psi at each of the sorted checkpoints (x among them), one sieve per
-    report block, in one thread; the k = 1 sum runs over the primes whose
-    residue mod `source.modulus` lies in `source.support`."""
-    stream = PrimePowerStream(x, chunk=chunk)
-    excluded = np.array(sorted(set(source.excluded_primes)), dtype=np.int64)
+    report block of `pnt.DEFAULT_CHUNK` integers, in one thread; the k = 1
+    sum runs over the primes whose residue mod `source.modulus` lies in
+    `source.support`, the k >= 2 sums over the primes not dividing it."""
+    stream = PrimePowerStream(x, chunk=pnt.DEFAULT_CHUNK)
     powers = stream.higher_powers()
     power_vals = {}
     by_k = {}
@@ -428,7 +429,7 @@ def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
         by_k.setdefault(k, []).append(p)
     for k, plist in by_k.items():
         parr = np.array(plist, dtype=np.int64)
-        keep = ~np.isin(parr, excluded)
+        keep = source.modulus % parr != 0
         vals = np.zeros(len(parr), dtype=np.complex128)
         if keep.any():
             vals[keep] = np.asarray(source.coeff_at(parr[keep], k),
@@ -443,8 +444,6 @@ def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
     for lo, hi in zip(edges[:-1], edges[1:]):
         primes = stream.primes_in(lo, hi)
         primes = primes[np.isin(primes % source.modulus, list(source.support))]
-        if excluded.size:
-            primes = primes[~np.isin(primes, excluded)]
         part = 0j
         if primes.size:
             vals = np.asarray(source.coeff_at(primes, 1), dtype=np.complex128)
@@ -464,22 +463,22 @@ def psi_per_block(source, x, checkpoints, chunk=DEFAULT_CHUNK):
 
 
 class DirichletSource:
-    """Coefficients a(p^k) = chi(p^k) p^{i k tau} of a single twisted character."""
+    """Coefficients a(p^k) = chi(p^k) p^{i k tau} of a single twisted
+    character, with the primes dividing `modulus` (a multiple of chi's
+    conductor, the conductor by default) excluded."""
 
-    def __init__(self, chi, tau: float = 0.0, extra_excluded=(),
+    def __init__(self, chi, tau: float = 0.0, modulus: int | None = None,
                  multiplicity: int | None = None):
         self.chi = chi
         self.tau = float(tau)
-        self.excluded_primes = frozenset(
-            p for p, _ in factorize(chi.conductor)) | frozenset(extra_excluded)
         self.multiplicity = (1 if chi.is_trivial else 0) \
             if multiplicity is None else multiplicity
         self.tau0 = self.tau
-        f = chi.conductor
-        # every unit class: a(p) is a root of unity for p prime to f
-        self.modulus = f
-        self.support = tuple(r for r in range(f) if gcd(r, f) == 1)
-        self._table = np.array([chi.value(r) for r in range(f)],
+        m = chi.conductor if modulus is None else modulus
+        # every unit class: a(p) is a root of unity for p prime to m
+        self.modulus = m
+        self.support = tuple(r for r in range(m) if gcd(r, m) == 1)
+        self._table = np.array([chi.value(r) for r in range(chi.conductor)],
                                dtype=np.complex128)
 
     def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:

@@ -258,7 +258,8 @@ def test_cached_windows_match_plain_sieve_and_are_read_only(monkeypatch):
     psi_sum(_pair_source(), 10**6, checkpoints=(12_345, 600_000))
     sieve_primes(250_000)
     monkeypatch.setattr(pnt, "SEGMENT", 70_000)
-    psi_sum(_pair_source(), 300_000, chunk=40_000, workers=2)
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 40_000)
+    psi_sum(_pair_source(), 300_000, workers=2)
     windows = cached_windows()
     assert len(windows) > 10
     ref = plain_sieve_primes(10**6)
@@ -320,12 +321,13 @@ def test_psi_sum_never_pushes_the_cache_past_its_budget(monkeypatch):
     # own, so each checkpoint set makes new windows: about twice the
     # budget over the 30 sets
     monkeypatch.setattr(pnt, "SEGMENT", 1)
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 100_000)
     source = _pair_source()
     rng = np.random.default_rng(12)
     first = None
     for _ in range(30):
         checkpoints = rng.integers(2, 2 * 10**6, size=12).tolist()
-        psi_sum(source, 2 * 10**6, checkpoints=checkpoints, chunk=100_000)
+        psi_sum(source, 2 * 10**6, checkpoints=checkpoints)
         windows = cached_windows()
         first = first or set(windows)
         assert pnt._WINDOWS.nbytes <= pnt.WINDOW_CACHE_BYTES
@@ -389,6 +391,13 @@ def test_stream_validates_limit():
         PrimePowerStream(1)
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_stream_rejects_a_chunk_below_one(chunk):
+    # block_edges would never return: lo stays put (0) or walks down (-1)
+    with pytest.raises(ValueError, match=f"got {chunk}"):
+        PrimePowerStream(1_000, chunk=chunk)
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -400,11 +409,11 @@ def test_higher_power_coeffs_match_scalar_loop(name):
     ps, powers, vals = higher_power_coeffs(stream, source)
     want = [(p, n, source.coeff_at(np.array([p], dtype=np.int64), k)[0])
             for p, k, n in stream.higher_powers()
-            if p not in source.excluded_primes]
+            if source.modulus % p]
     assert ps.dtype == powers.dtype == np.int64
     assert vals.dtype == np.complex128
     assert list(zip(ps.tolist(), powers.tolist(), vals.tolist())) == want
-    assert not set(ps.tolist()) & source.excluded_primes
+    assert all(source.modulus % p for p in ps.tolist())
 
 
 # ------------------------------------------------------------------- workers
@@ -486,6 +495,10 @@ def test_twisted_pair_source_against_bruteforce():
 
     rep = psi_sum(src, 20_000, checkpoints=[20_000])
     assert abs(rep.psi[-1] - brute_psi(20_000, coeff)) < 1e-7
+    # the main term takes the source's pole data
+    assert (rep.multiplicity, rep.tau0) == (src.multiplicity, 0.5)
+    assert src.multiplicity == 1
+    assert rep.predicted == (predicted_main_term(1, 0.5, 20_000),)
 
 
 def test_psi_rejects_small_limit():
@@ -508,7 +521,6 @@ def test_determinism_bit_for_bit():
 
     # a coefficientwise-identical frozen source must give identical bits
     class Proxy:
-        excluded_primes = src.excluded_primes
         multiplicity = src.multiplicity
         tau0 = src.tau0
         modulus = src.modulus
@@ -555,23 +567,13 @@ SEG_CHUNK = 10_000
 SEG_CHECKPOINTS = (10_000, 10_006, 100_002, 123_456, SEG_X)
 
 
-def _edge_primes():
-    """The primes on either side of every block edge; with SEGMENT below
-    the chunk every block edge is a segment edge."""
-    edges = PrimePowerStream(SEG_X, chunk=SEG_CHUNK).block_edges(
-        SEG_CHECKPOINTS)
-    primes = sieve_primes(SEG_X)
-    at = np.searchsorted(primes, edges)
-    return {int(primes[i]) for i in np.concatenate((at - 1, at))
-            if 0 <= i < primes.size}
-
-
 SEG_SOURCES = {
     "untwisted": lambda: _pair_source(),
     "twisted": lambda: _pair_source(tau=0.5),
+    # mod 7 * 10007 the prime 10007, which opens the block after the
+    # checkpoint 10006, is excluded beyond the conductor's 7
     "dirichlet_extra_excluded": lambda: DirichletSource(
-        DirichletChar(unit_group(7), [1]), tau=0.25,
-        extra_excluded=_edge_primes()),
+        DirichletChar(unit_group(7), [1]), tau=0.25, modulus=7 * 10_007),
 }
 
 
@@ -581,10 +583,11 @@ SEG_SOURCES = {
 def test_segments_bit_identical_to_per_block_sieve(monkeypatch, name,
                                                    segment, workers):
     source = SEG_SOURCES[name]()
-    expected = psi_per_block(source, SEG_X, SEG_CHECKPOINTS, chunk=SEG_CHUNK)
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", SEG_CHUNK)
+    expected = psi_per_block(source, SEG_X, SEG_CHECKPOINTS)
     monkeypatch.setattr(pnt, "SEGMENT", segment)
     rep = psi_sum(source, SEG_X, checkpoints=SEG_CHECKPOINTS,
-                  chunk=SEG_CHUNK, workers=workers)
+                  workers=workers)
     assert rep.psi == expected
 
 
@@ -614,8 +617,8 @@ def test_class_sieve_and_odd_windows_give_the_same_bits(monkeypatch, name):
     # both paths, every segment size and worker count: the bits of the
     # per-block oracle, which sums the support primes block by block
     source = PATH_SOURCES[name]()
-    expected = bits(psi_per_block(source, SEG_X, SEG_CHECKPOINTS,
-                                  chunk=SEG_CHUNK))
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", SEG_CHUNK)
+    expected = bits(psi_per_block(source, SEG_X, SEG_CHECKPOINTS))
     for fits in (True, False):
         monkeypatch.setattr(pnt, "_fits_cache", lambda limit, f=fits: f)
         classes = pnt._sieve_classes(SEG_X, source.modulus, source.support)
@@ -624,7 +627,7 @@ def test_class_sieve_and_odd_windows_give_the_same_bits(monkeypatch, name):
             monkeypatch.setattr(pnt, "SEGMENT", segment)
             for workers in (1, 2, 3):
                 rep = psi_sum(source, SEG_X, checkpoints=SEG_CHECKPOINTS,
-                              chunk=SEG_CHUNK, workers=workers)
+                              workers=workers)
                 assert bits(rep.psi) == expected, (fits, segment, workers)
 
 
@@ -635,6 +638,87 @@ def test_support_prime_two_enters_the_sum():
     assert abs(source.coeff_at(np.array([2]), 1)[0] - 36) < 1e-12
     rep = psi_sum(source, 100, checkpoints=[2, 100])
     assert abs(rep.psi[0] - 36 * math.log(2)) < 1e-12
+
+
+# psi bits of the four configs at SEG_X with SEG_CHECKPOINTS and SEG_CHUNK,
+# frozen from psi_sum while it still dropped a list of excluded primes
+CONFIG_BITS = {
+    "thm11": [("0x1.3dda87bc5fc68p+13", "-0x1.366989fb277f0p-53"),
+              ("0x1.3dda87bc5fc68p+13", "-0x1.366989fb277f0p-53"),
+              ("0x1.868c772e99e1bp+16", "-0x1.b63c83ffc31c8p-49"),
+              ("0x1.e2343dfcc2ad4p+16", "-0x1.a707bef7ec458p-48"),
+              ("0x1.8653fe935d544p+17", "0x1.1e2bb075ab200p-56")],
+    "dihedral": [("0x1.39db57ad358a4p+14", "0x0.0p+0"),
+                 ("0x1.39db57ad358a4p+14", "0x0.0p+0"),
+                 ("0x1.86af1375875f8p+17", "0x0.0p+0"),
+                 ("0x1.e247aa6af0abfp+17", "0x0.0p+0"),
+                 ("0x1.8652b673170b3p+18", "0x0.0p+0")],
+    "empty_t": [("0x1.224cefed0437ep+6", "-0x1.52bdcfab592b4p-40"),
+                ("0x1.224cefed0437ep+6", "-0x1.52bdcfab592b4p-40"),
+                ("-0x1.60820f8a15e6ap+7", "-0x1.ad198e804a3dap-37"),
+                ("0x1.5da319fe15338p+8", "-0x1.086f26f32d5b0p-36"),
+                ("-0x1.36003c4036a5cp+8", "-0x1.acfb8f66195c4p-36")],
+    "twist": [("-0x1.2e51d73df6662p+12", "-0x1.e415661fc4936p+12"),
+              ("-0x1.2e51d73df6662p+12", "-0x1.e415661fc4936p+12"),
+              ("0x1.7f90388fe10a0p+15", "-0x1.240d8ec9edf81p+16"),
+              ("0x1.1167d4552cf30p+16", "-0x1.4da6a732d8fabp+16"),
+              ("0x1.1748f12e2a01ap+17", "-0x1.a3504d7ca8169p+16")],
+}
+
+
+@pytest.mark.parametrize("fits", [True, False])
+@pytest.mark.parametrize("name", sorted(CONFIG_BITS))
+def test_config_sources_keep_their_frozen_bits(monkeypatch, name, fits):
+    source = _config_source(name)
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", SEG_CHUNK)
+    monkeypatch.setattr(pnt, "_fits_cache", lambda limit: fits)
+    for workers in (1, 3):
+        rep = psi_sum(source, SEG_X, checkpoints=SEG_CHECKPOINTS,
+                      workers=workers)
+        assert bits(rep.psi) == CONFIG_BITS[name], workers
+
+
+@pytest.mark.parametrize("name", sorted(PATH_SOURCES))
+def test_no_prime_dividing_the_modulus_reaches_coeff_at(monkeypatch, name):
+    # the support alone keeps the ramified primes out at k = 1, the modulus
+    # rule at k >= 2; mod31's support holds 2's class
+    coeff_at = RsCoeffSource.coeff_at
+
+    def guarded(self, p, k=1):
+        ramified = p[self.modulus % p == 0]
+        assert not ramified.size, (k, ramified.tolist())
+        return coeff_at(self, p, k)
+
+    monkeypatch.setattr(RsCoeffSource, "coeff_at", guarded)
+    source = PATH_SOURCES[name]()
+    with pytest.raises(AssertionError):
+        source.coeff_at(np.array([3, source.modulus], dtype=np.int64), 2)
+    for fits in (True, False):
+        monkeypatch.setattr(pnt, "_fits_cache", lambda limit, f=fits: f)
+        for workers in (1, 3):
+            psi_sum(source, SEG_X, checkpoints=SEG_CHECKPOINTS,
+                    workers=workers)
+
+
+@pytest.mark.parametrize("support", [(1, 9, 21), (1, 5, 9), (-1, 9), ()])
+def test_psi_sum_rejects_a_support_of_non_units(monkeypatch, support):
+    # 21 lies past the modulus 20, -1 below it, and 5 is no unit mod 20:
+    # the prime 5 would enter the k = 1 sum
+    src = _config_source("thm11")
+
+    class Proxy:
+        modulus = src.modulus
+        multiplicity = src.multiplicity
+        tau0 = src.tau0
+        coeff_at = staticmethod(src.coeff_at)
+
+    Proxy.support = support
+    monkeypatch.setattr(pnt, "PrimePowerStream",
+                        lambda *args, **kw: pytest.fail("sieved"))
+    for x in (10**5, 2 * 10**7):
+        with pytest.raises(ValueError,
+                           match="support must be unit residues mod 20"):
+            psi_sum(Proxy(), x)
 
 
 # psi bits of full-support sources, frozen from the sieve before class
@@ -721,9 +805,9 @@ def test_linearity_against_per_character_sums(spec_e, spec_f):
     for chi, _ in src.pair_set.fiber_left:
         for psi_char, _ in src.pair_set.fiber_right:
             factor = chi * psi_char.conjugate()
-            part = psi_sum(DirichletSource(factor,
-                                           extra_excluded=src.excluded_primes),
-                           x, checkpoints=[x], multiplicity=0)
+            part = psi_sum(DirichletSource(factor, modulus=src.modulus,
+                                           multiplicity=0),
+                           x, checkpoints=[x])
             total += part.psi[-1]
     assert abs(combined - total) < 1e-7
 
@@ -737,12 +821,13 @@ def test_self_pair_real_and_nondecreasing():
     assert values == sorted(values)
 
 
-def test_checkpoint_prefix_consistency():
+def test_checkpoint_prefix_consistency(monkeypatch):
     # psi at an interior checkpoint agrees with a run stopped there
     e, f = make_field(5, [4]), make_field(4, [])
     src = RsCoeffSource(trivial_over(e), trivial_over(f))
-    long = psi_sum(src, 80_000, checkpoints=[20_000, 80_000], chunk=7_000)
-    short = psi_sum(src, 20_000, checkpoints=[20_000], chunk=7_000)
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 7_000)
+    long = psi_sum(src, 80_000, checkpoints=[20_000, 80_000])
+    short = psi_sum(src, 20_000, checkpoints=[20_000])
     assert abs(long.psi[0] - short.psi[0]) < 1e-9
 
 

@@ -26,7 +26,6 @@ from bclab.rankin_selberg import (
     conjugation_swap_consistent,
     pole_multiplicity,
     pair_modulus,
-    ramified_primes,
     thm1_1_applies,
     thm1_2_applies,
     twist_absorption_check,
@@ -107,10 +106,10 @@ def test_theorem_flags():
 # -------------------------------------------------------------- coefficients
 
 def prime_power_coeffs(src, limit):
-    """(p^k, a(p^k)) for every prime power p^k <= limit off the excluded
-    primes, from coeff_at."""
-    primes = np.array([p for p in sieve_primes(limit).tolist()
-                       if p not in src.excluded_primes], dtype=np.int64)
+    """(p^k, a(p^k)) for every prime power p^k <= limit with p prime to the
+    modulus, from coeff_at."""
+    primes = sieve_primes(limit)
+    primes = primes[src.modulus % primes != 0]
     out = []
     k = 1
     while primes.size:
@@ -126,8 +125,8 @@ def test_rs_coefficient_values():
     assert abs(a3) < 1e-12                # inert in both fields
     assert abs(a41 - 4) < 1e-12           # split in both fields
     assert src.multiplicity == 1
-    assert 2 in src.excluded_primes       # ramified, excluded
-    assert 5 in src.excluded_primes
+    assert src.modulus % 2 == 0           # ramified, excluded
+    assert src.modulus % 5 == 0
 
 
 def test_rs_zeta_square():
@@ -140,8 +139,9 @@ def test_rs_zeta_square():
 
 
 def test_ramified_primes_of_pair():
-    assert ramified_primes(trivial_over(sqrt5()),
-                           trivial_over(gaussian())) == frozenset({2, 5})
+    # the excluded primes are those dividing the pair's modulus
+    modulus = pair_modulus(trivial_over(sqrt5()), trivial_over(gaussian()))
+    assert {p for p, _ in factorize(modulus)} == {2, 5}
 
 
 def test_hermitian_positivity():
@@ -188,8 +188,8 @@ def test_coeff_at_matches_memoised_product_tables(order):
     for pi, pi_prime in pairs:
         src = RsCoeffSource(pi, pi_prime)
         memo = MemoisedRsSource(src)
-        primes = np.array([p for p in sieve_primes(20_000).tolist()
-                           if p not in src.excluded_primes], dtype=np.int64)
+        primes = sieve_primes(20_000)
+        primes = primes[src.modulus % primes != 0]
         for k in order:
             got = src.coeff_at(primes, k)
             assert got.dtype == np.complex128
@@ -421,13 +421,14 @@ def test_support_is_the_split_classes_of_both_fields():
 
 def test_psi_sum_bits_over_paths_and_workers_on_seeded_pairs(monkeypatch):
     x, checkpoints = 60_000, (10_000, 33_333, 60_000)
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 7_000)
     for pi, pi_prime in support_pairs(6, seed=29)[2:]:
         src = RsCoeffSource(pi, pi_prime)
-        want = psi_per_block(src, x, checkpoints, chunk=7_000)
+        want = psi_per_block(src, x, checkpoints)
         for fits in (True, False):
             monkeypatch.setattr(pnt, "_fits_cache", lambda limit, f=fits: f)
             for workers in (1, 2, 3):
-                got = psi_sum(src, x, checkpoints=checkpoints, chunk=7_000,
+                got = psi_sum(src, x, checkpoints=checkpoints,
                               workers=workers).psi
                 assert [(z.real.hex(), z.imag.hex()) for z in got] == \
                     [(z.real.hex(), z.imag.hex()) for z in want]
