@@ -19,9 +19,9 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     config_hash,
+    experiment_text,
     parse_config,
     parse_int,
-    serialize_config,
     with_overrides,
 )
 
@@ -156,26 +156,19 @@ def cmd_bc(args) -> int:
 def cmd_coeffs(args) -> int:
     from .automorphic import (automorphic_induction, local_coeffs_over_e,
                               local_coeffs_over_q)
-    from .pnt import sieve_primes
+    from .pnt import prime_powers
 
     cfg = _load_config(args.config)
     _require_at_least_two("--limit", args.limit)
     pi = cfg.pi() if args.which == "pi" else cfg.pi_prime()
-    limit = args.limit
+    ps, ks, _ = prime_powers(args.limit, pi.field.modulus)
+    # ascending in p^k, so each prime's last entry holds its largest k
+    k_max = dict(zip(ps.tolist(), ks.tolist()))
+    induced = automorphic_induction(pi) if args.route == "q" else None
     rows = []
-    for p in sieve_primes(limit).tolist():
-        if pi.field.modulus % p == 0:
-            continue
-        k_max = 0
-        n = p
-        while n <= limit:
-            k_max += 1
-            n *= p
-        if args.route == "e":
-            coeffs = local_coeffs_over_e(pi, p, k_max)
-        else:
-            coeffs = local_coeffs_over_q(automorphic_induction(pi), p, k_max)
-        rows.extend(coeffs)
+    for p, k in k_max.items():
+        rows.extend(local_coeffs_over_e(pi, p, k) if induced is None
+                    else local_coeffs_over_q(induced, p, k))
     rows.sort(key=lambda c: c.n)
     lines = [f"# artifact_version={__version__} config_sha256={config_hash(cfg)}",
              "n,re_a,im_a"]
@@ -185,7 +178,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_rs(args) -> int:
-    from .pnt import PrimePowerStream, higher_power_coeffs, sieve_primes
+    from .pnt import prime_power_coeffs
     from .rankin_selberg import (RsCoeffSource, thm1_1_applies,
                                  thm1_2_applies, twisted_pairs)
 
@@ -208,18 +201,13 @@ def cmd_rs(args) -> int:
     _emit_json(payload, args.out)
     if args.csv:
         # a(p^k) for every prime power p^k <= limit, p prime to the modulus
-        source = RsCoeffSource(pi, pi_prime)
-        primes = sieve_primes(args.limit)
-        primes = primes[source.modulus % primes != 0]
-        _, powers, vals = higher_power_coeffs(
-            PrimePowerStream(args.limit), source)
-        rows = list(zip(primes.tolist() + powers.tolist(),
-                        source.coeff_at(primes).tolist() + vals.tolist()))
-        rows.sort(key=lambda row: row[0])
+        _, powers, vals = prime_power_coeffs(RsCoeffSource(pi, pi_prime),
+                                             args.limit)
         lines = [f"# artifact_version={__version__} "
                  f"config_sha256={config_hash(cfg)}",
                  "n,re_a,im_a"]
-        lines += [f"{n},{v.real!r},{v.imag!r}" for n, v in rows]
+        lines += [f"{n},{v.real!r},{v.imag!r}"
+                  for n, v in zip(powers.tolist(), vals.tolist())]
         _emit_lines(lines, args.csv)
     return 0
 
@@ -269,7 +257,7 @@ def cmd_pnt(args) -> int:
         decays = None
     payload = _stamp(cfg) | {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config_text": serialize_config(cfg),
+        "config_text": experiment_text(cfg),
         "report": report.to_json_dict(),
         "decay_check": decays,
         "theorem_flags": {

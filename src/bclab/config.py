@@ -216,8 +216,14 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs)
 
 
+def experiment_text(cfg: ExperimentConfig) -> str:
+    """The canonical serialization without `out` and `csv`, which say where
+    artifacts are written, not what experiment they hold."""
+    return serialize_config(replace(cfg, out=None, csv=None))
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    return hashlib.sha256(experiment_text(cfg).encode()).hexdigest()
 
 
 def with_overrides(cfg: ExperimentConfig, **kw) -> ExperimentConfig:

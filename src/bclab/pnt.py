@@ -52,20 +52,23 @@ It is the library's one sieve: `sieve_primes(limit)` concatenates a
 stream's windows, and a stream takes its base primes from `sieve_primes`
 at the square root of its limit.  The recursion ends in the wheel: every
 odd composite below 17^2 has a factor from 3 to 13, so a stream whose limit
-is below 289 needs no base prime beyond the wheel primes.  The higher prime
-powers are few (O(sqrt x)); `higher_power_coeffs` gathers their
-coefficients with one `coeff_at` call per k for `psi_sum` and for
-`bclab rs --csv` alike.
+is below 289 needs no base prime beyond the wheel primes.
+
+`prime_powers` is the library's one enumerator of the p^k <= x with p not
+dividing a modulus, the exclusion rule of every sum here; those with k >= 2
+are few (O(sqrt x)).  `prime_power_coeffs` gathers a source's a(p^k) over
+them with one `coeff_at` call per k, for `psi_sum` (k >= 2) and
+`bclab rs --csv` (every k) alike.
 
 The primes of a window [lo, hi) do not depend on the stream that asks for
 them, so `primes_in` keeps the odd-layout windows it sieves in one
 process-wide cache, keyed by (lo, hi) and shared by every stream and
 thread: `psi_sum`, `sieve_primes`, the streams' base primes and
-`rankin_selberg`'s prime powers each sieve a window once per process.  The
-cache holds at most WINDOW_CACHE_BYTES of prime arrays and evicts the least
-recently used window first.  A stream takes part only when all its primes
-fit that budget by the Rosser-Schoenfeld bound pi(x) < 1.25506 x / ln x, so
-a 1e7 trace is cached and a 1e8 or 1e9 trace neither enters nor evicts
+`prime_powers` each sieve a window once per process.  The cache holds at
+most WINDOW_CACHE_BYTES of prime arrays and evicts the least recently used
+window first.  A stream takes part only when all its primes fit that
+budget by the Rosser-Schoenfeld bound pi(x) < 1.25506 x / ln x, so a 1e7
+trace is cached and a 1e8 or 1e9 trace neither enters nor evicts
 anything; class layouts never do.  Windows are handed out as read-only
 int64 arrays, cached or not.
 """
@@ -319,27 +322,43 @@ class PrimePowerStream:
 
     def higher_powers(self) -> list[tuple[int, int, int]]:
         """(p, k, p^k) for every prime power with k >= 2, ascending in p^k."""
-        out = []
-        for p in self.base_primes:
-            p = int(p)
-            n = p * p
-            k = 2
-            while n <= self.limit:
-                out.append((p, k, n))
-                k += 1
-                n *= p
-        return sorted(out, key=lambda t: t[2])
+        return list(zip(*(a.tolist()
+                          for a in prime_powers(self.limit, k_min=2))))
 
 
-def higher_power_coeffs(stream: PrimePowerStream, source
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, p^k, a(p^k)) as arrays, ascending in p^k, for every prime power
-    p^k <= stream.limit with k >= 2 and p not dividing `source.modulus`;
-    one `coeff_at` call per exponent k."""
-    modulus = int(source.modulus)
-    ps, ks, powers = np.array(
-        [t for t in stream.higher_powers() if modulus % t[0]],
-        dtype=np.int64).reshape(-1, 3).T
+def prime_powers(limit: int, modulus: int = 1, k_min: int = 1
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, k, p^k) as int64 arrays, ascending in p^k, for every prime power
+    p^k <= limit with k >= k_min and p not dividing `modulus`.
+
+    With k_min >= 2 only the primes up to the square root are sieved.  A
+    modulus past int64 is tested for divisibility in Python integers.
+    """
+    limit, modulus = int(limit), int(modulus)
+    primes = sieve_primes(limit if k_min <= 1 else math.isqrt(limit))
+    if modulus < 2 ** 63:
+        p = n = primes[modulus % primes != 0]
+    else:  # an lcm of large conductors: exact in Python integers
+        p = n = primes[np.array([modulus % q != 0 for q in primes.tolist()],
+                                dtype=bool)]
+    none = np.array([], dtype=np.int64)
+    levels, k = [(none, none, none)], 1
+    while p.size:
+        if k >= k_min:
+            levels.append((p, np.full(p.size, k, dtype=np.int64), n))
+        cut = np.count_nonzero(n <= limit // p)  # p^(k+1) <= limit: a prefix
+        p, n, k = p[:cut], n[:cut] * p[:cut], k + 1
+    ps, ks, powers = (np.concatenate(col) for col in zip(*levels))
+    order = np.argsort(powers)
+    return ps[order], ks[order], powers[order]
+
+
+def prime_power_coeffs(source, limit: int, k_min: int = 1
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, p^k, a(p^k)) as arrays, ascending in p^k, over
+    `prime_powers(limit, source.modulus, k_min)`; one `coeff_at` call per
+    exponent k."""
+    ps, ks, powers = prime_powers(limit, source.modulus, k_min)
     vals = np.empty(ps.size, dtype=np.complex128)
     for k in np.unique(ks).tolist():
         at = ks == k
@@ -509,7 +528,7 @@ def psi_sum(source, x, checkpoints=None, workers: int | None = None
     parts = [part for seg in per_segment for part in seg]
 
     # Fold the sparse higher powers into their blocks, ascending in p^k.
-    ps, powers, vals = higher_power_coeffs(stream, source)
+    ps, powers, vals = prime_power_coeffs(source, x, k_min=2)
     extras = [0j] * len(blocks)
     for i, term in zip(np.searchsorted(edges, powers, side="right") - 1,
                        (vals * np.log(ps.astype(np.float64))).tolist()):

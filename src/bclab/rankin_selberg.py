@@ -16,10 +16,10 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .characters import DirichletChar, factorize, is_prime
+from .characters import DirichletChar, is_prime
 from .fields import AbelianField
 from .automorphic import GalHeckeChar, TWIST_TOL, bc_fiber
-from .pnt import sieve_primes
+from .pnt import prime_powers, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -172,18 +172,6 @@ def _fiber_residue_table(fiber, modulus: int) -> np.ndarray:
     return table
 
 
-def _prime_powers(limit: int, excluded) -> np.ndarray:
-    """Every prime power p^k <= limit with p outside `excluded`, as int64."""
-    primes = sieve_primes(limit)
-    base = primes[~np.isin(primes, sorted(excluded))]
-    parts = [base]
-    while parts[-1].size:
-        keep = parts[-1] <= limit // base
-        base = base[keep]
-        parts.append(parts[-1][keep] * base)
-    return np.concatenate(parts)
-
-
 def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
                            pi_q: DirichletChar, pi_q_prime: DirichletChar,
                            limit: int) -> bool:
@@ -191,11 +179,12 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     against xi, and absorbing both into a single twist by chi^{-1} xi.
 
     Both sides are computed independently as products of primitive character
-    values; primes dividing any conductor involved are excluded consistently.
-    Each value is the integer exponent a of chi(n) = zeta_N^a on its
-    primitive character's group exponent N (`exponents_at`, over every
-    remaining p^k <= limit at once), scaled to the lcm L of the four N, so
-    the comparison is exact integer arithmetic mod L.  The scaled
+    values over `prime_powers(limit, bad)`, with `bad` the lcm of the four
+    input conductors, so the primes dividing any of them are excluded on
+    both sides.  Each value is the integer exponent a of chi(n) = zeta_N^a
+    on its primitive character's group exponent N (`exponents_at`, over
+    every remaining p^k <= limit at once), scaled to the lcm L of the four
+    N, so the comparison is exact integer arithmetic mod L.  The scaled
     combination lies in (-2L, 2L): it is formed in int64 when 2L < 2^63
     and in Python integers otherwise, so the result is exact at any level.
 
@@ -213,11 +202,10 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     right_b = pi_q_prime * (chi.conjugate() * xi)
     bad = lcm(chi.conductor, xi.conductor,
               pi_q.conductor, pi_q_prime.conductor)
-    excluded = {p for p, _ in factorize(bad)}
     chars = (left_a, left_b, right_a, right_b)
     levels = [c.primitive().group.exponent for c in chars]
     level = lcm(*levels)
-    n = _prime_powers(limit, excluded)
+    _, _, n = prime_powers(limit, bad)
     dtype = np.int64 if 2 * level < 2 ** 63 else object
     sa, sb, ta, tb = (level // v for v in levels)
     la, lb, ra, rb = (c.exponents_at(n).astype(dtype) for c in chars)

@@ -39,7 +39,7 @@ from .rankin_selberg import (
     twisted_pairs,
 )
 from .twist_counts import coprime_count, cross_check_pair_count, noncuspidal_orbit
-from .pnt import decay_check, predicted_main_term, psi_sum
+from .pnt import decay_check, predicted_main_term, prime_powers, psi_sum
 
 
 @dataclass
@@ -134,32 +134,25 @@ def _theta() -> DirichletChar:
 def check_factorization(limit: int = 100_000) -> tuple[bool, str]:
     """Coefficients over E equal the fiber-product coefficients over Q,
     exactly, for all prime powers up to the limit."""
-    from .pnt import sieve_primes
-
     ctx = RootContext(4)
     configs = []
     for field in (_sqrt5_field(), make_field(5, [])):
         for chi in (trivial_char(5), _theta()):
             configs.append(base_change(chi, field))
-    primes = [int(p) for p in sieve_primes(limit) if p != 5]
-    checked = 0
+    ps, ks, _ = prime_powers(limit, 5)
+    powers = list(zip(ps.tolist(), ks.tolist()))
     for pi in configs:
         ai = automorphic_induction(pi)
-        for p in primes:
-            j = 1
-            n = p
-            while n <= limit:
-                over_e = coeff_data_over_e(pi, p, j)
-                left = ctx.zero() if over_e is None else \
-                    ctx.vector([(over_e[1], over_e[0])])
-                right = ctx.vector(
-                    [(a, 1) for a in coeff_angles_over_q(ai, p, j)])
-                if left != right:
-                    return False, (f"mismatch at p={p}, j={j} for {pi}")
-                checked += 1
-                j += 1
-                n *= p
-    return True, f"{checked} prime-power coefficients agree exactly"
+        for p, j in powers:
+            over_e = coeff_data_over_e(pi, p, j)
+            left = ctx.zero() if over_e is None else \
+                ctx.vector([(over_e[1], over_e[0])])
+            right = ctx.vector(
+                [(a, 1) for a in coeff_angles_over_q(ai, p, j)])
+            if left != right:
+                return False, (f"mismatch at p={p}, j={j} for {pi}")
+    return True, (f"{len(configs) * len(powers)} prime-power coefficients "
+                  f"agree exactly")
 
 
 def check_cuspidal_main_term(limit: int = 10_000_000, checkpoints=None

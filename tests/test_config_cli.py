@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -248,6 +249,28 @@ def test_pnt_outputs_deterministic(tmp_path):
                      csv.read_text()))
     assert outs[0] == outs[1]
 
+
+
+def test_pnt_stamp_does_not_depend_on_the_output_paths(tmp_path):
+    outs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        out, csv = tmp_path / name / "report.json", tmp_path / name / "t.csv"
+        assert main(["pnt", "--config", str(THM11), "--limit", "1e5",
+                     "--out", str(out), "--csv", str(csv)]) == 0
+        payload = json.loads(out.read_text())
+        payload.pop("generated_at")
+        assert hashlib.sha256(payload["config_text"].encode()).hexdigest() \
+            == payload["config_sha256"]
+        outs.append((payload, csv.read_text()))
+    assert outs[0] == outs[1]
+    assert str(tmp_path) not in outs[0][0]["config_text"]
+
+
+def test_artifact_version_matches_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 def test_usage_error_exit_code(capsys):
     assert main(["count", "--l", "4"]) == 1          # missing --lprime

@@ -21,8 +21,8 @@ from bclab.pnt import (
     _segments,
     decay_check,
     default_checkpoints,
-    higher_power_coeffs,
     predicted_main_term,
+    prime_power_coeffs,
     psi_sum,
     sieve_primes,
 )
@@ -406,7 +406,7 @@ def test_higher_power_coeffs_match_scalar_loop(name):
     cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
     source = RsCoeffSource(cfg.pi(), cfg.pi_prime())
     stream = PrimePowerStream(10**5)
-    ps, powers, vals = higher_power_coeffs(stream, source)
+    ps, powers, vals = prime_power_coeffs(source, 10**5, k_min=2)
     want = [(p, n, source.coeff_at(np.array([p], dtype=np.int64), k)[0])
             for p, k, n in stream.higher_powers()
             if source.modulus % p]

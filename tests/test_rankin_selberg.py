@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +18,10 @@ from bclab.config import parse_config
 from bclab.fields import compositum, fields_up_to_conductor, make_field
 from bclab.automorphic import GalHeckeChar, base_change, bc_fiber, trivial_over
 from bclab import pnt
-from bclab.pnt import PrimePowerStream, psi_sum, sieve_primes
+from bclab.pnt import PrimePowerStream, prime_powers, psi_sum, sieve_primes
 from bclab.rankin_selberg import (
     RsCoeffSource,
     _fiber_residue_table,
-    _prime_powers,
     conjugation_swap_consistent,
     pole_multiplicity,
     pair_modulus,
@@ -274,15 +273,24 @@ def test_absorption_matches_fraction_oracle_on_criterion_9():
             twist_absorption_oracle(*quad, 10_000)
 
 
-@pytest.mark.parametrize("excluded", [set(), {2}, {2, 5, 97}])
+SAFE_PRIMES = (131267, 131303, 131687, 131927)
+
+
+@pytest.mark.parametrize("excluded", [set(), {2}, {2, 5, 97}, {2, 5},
+                                      SAFE_PRIMES])
 def test_prime_powers_are_every_p_k_off_the_excluded_primes(excluded):
-    for limit in [*range(0, 130), 10_000]:
-        want = sorted(n for n in range(2, limit + 1)
-                      if len(factorize(n)) == 1 and factorize(n)[0][0]
-                      not in excluded)
-        got = _prime_powers(limit, excluded)
-        assert got.dtype == np.int64
-        assert sorted(got.tolist()) == want
+    # the modulus is the product of the excluded primes, >= 2^63 for the
+    # safe primes
+    modulus = prod(excluded)
+    factored = {n: f[0] for n in range(2, 10_001)
+                if len(f := factorize(n)) == 1}
+    for k_min in (1, 2):
+        for limit in [*range(0, 130), 10_000]:
+            want = [(p, k, n) for n, (p, k) in factored.items()
+                    if n <= limit and k >= k_min and p not in excluded]
+            got = prime_powers(limit, modulus, k_min)
+            assert all(a.dtype == np.int64 for a in got)
+            assert list(zip(*(a.tolist() for a in got))) == want
 
 
 def test_absorption_sieves_each_limit_once(monkeypatch):
@@ -313,8 +321,7 @@ def test_absorption_matches_per_prime_loop_on_criterion_9():
 def large_level_quadruple():
     """Characters of order p - 1 mod four safe primes p = 2q + 1: the lcm L
     of the four primitive group exponents exceeds 2^64."""
-    return tuple(DirichletChar(unit_group(p), [1])
-                 for p in (131267, 131303, 131687, 131927))
+    return tuple(DirichletChar(unit_group(p), [1]) for p in SAFE_PRIMES)
 
 
 def test_absorption_is_exact_past_int64():
@@ -335,7 +342,7 @@ def test_absorption_never_evaluates_a_zero_value(quads, limit):
     for chi, xi, pi_q, pi_q_prime in quads():
         bad = lcm(chi.conductor, xi.conductor,
                   pi_q.conductor, pi_q_prime.conductor)
-        n = _prime_powers(limit, {p for p, _ in factorize(bad)})
+        _, _, n = prime_powers(limit, bad)
         assert n.size
         for c in (pi_q * chi, pi_q_prime * xi, pi_q,
                   pi_q_prime * (chi.conjugate() * xi)):
