@@ -8,9 +8,14 @@ Usage, from the root of a checkout:
 The trace runs in this process on the library under --src (default: this
 checkout's `src`).  `PrimePowerStream._sieve` and the source's `coeff_at`
 are wrapped and timed; with several workers their durations are summed
-over psi_sum's threads, so they can exceed the wall time.  The minor page
-faults, user and system time of the process over the trace come from
-getrusage.  Prints one JSON object.
+over psi_sum's threads, so they can exceed the wall time.  The timers see
+only work done in this process: a trace past the window cache runs its
+segments in forked child processes, whose calls are not added up here, so
+on several workers `sieve_s` and `coeff_at_s` read about 0 for such a
+trace.  The minor page faults, user and system time of the process over
+the trace come from getrusage, and so do those of its children (`children_`
+keys; `children_max_rss_mb` is the largest child's peak, `max_rss_mb` this
+process's).  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -55,18 +60,23 @@ def main(argv=None) -> int:
 
     pnt.PrimePowerStream._sieve = timed("sieve_s", pnt.PrimePowerStream._sieve)
     source.coeff_at = timed("coeff_at_s", source.coeff_at)
-    before = resource.getrusage(resource.RUSAGE_SELF)
+    who = {"": resource.RUSAGE_SELF, "children_": resource.RUSAGE_CHILDREN}
+    before = {k: resource.getrusage(w) for k, w in who.items()}
     start = time.perf_counter()
     report = pnt.psi_sum(source, int(args.limit), workers=args.workers)
     wall = time.perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_SELF)
+    usage = {}
+    for prefix, w in who.items():
+        was, now = before[prefix], resource.getrusage(w)
+        usage.update({
+            prefix + "user_s": now.ru_utime - was.ru_utime,
+            prefix + "system_s": now.ru_stime - was.ru_stime,
+            prefix + "minor_faults": now.ru_minflt - was.ru_minflt,
+            prefix + "max_rss_mb": now.ru_maxrss / 1024})
     print(json.dumps({
         "src": os.path.abspath(args.src), "config": args.config,
         "limit": int(args.limit), "workers": args.workers,
-        "wall_s": wall, **spent,
-        "user_s": after.ru_utime - before.ru_utime,
-        "system_s": after.ru_stime - before.ru_stime,
-        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "wall_s": wall, **spent, **usage,
         "psi": [report.psi[-1].real, report.psi[-1].imag]}))
     return 0
 

@@ -48,6 +48,18 @@ segment is sieved once and its primes are split at the block edges, so
 each block sees exactly the primes it would get from sieving it alone, and
 the report does not depend on the span.
 
+Workers.  The segments of a trace are independent, so `psi_sum` maps them
+over up to `workers` workers (`_map_segments`) and reduces what comes back
+in segment order.  A trace past the window cache runs them on a pool of
+forked processes: the sieve's slice loop holds the GIL, so threads would
+take turns at it, while a child inherits the stream and the source with
+the fork and returns only each segment's block partials.  A trace inside
+the cache runs them on threads, since the cache lives in this process and
+a child's windows would be lost with it.  One worker sieves in the calling
+thread.  Each block's partial is formed by the same code from the same
+primes wherever it runs, and the reduction order is fixed, so the bits
+cannot depend on the worker count or on threads against processes.
+
 It is the library's one sieve: `sieve_primes(limit)` concatenates a
 stream's windows, and a stream takes its base primes from `sieve_primes`
 at the square root of its limit.  The recursion ends in the wheel: every
@@ -133,6 +145,19 @@ class _WindowCache:
 
 
 _WINDOWS = _WindowCache(WINDOW_CACHE_BYTES)
+
+
+_MASKS = threading.local()
+
+
+def _mask(n: int) -> np.ndarray:
+    """The first n bytes of this thread's sieve mask buffer, grown to the
+    largest mask the thread has asked for: a segment's mask is refilled in
+    place instead of allocated and faulted in anew."""
+    buffer = getattr(_MASKS, "buffer", None)
+    if buffer is None or buffer.size < n:
+        buffer = _MASKS.buffer = np.empty(n, dtype=bool)
+    return buffer[:n]
 
 
 def _fits_cache(limit: int) -> bool:
@@ -284,7 +309,11 @@ class PrimePowerStream:
         wheel = _wheel(modulus, self.lifts)
         period = wheel.shape[0] // 2
         offset = row0 // modulus % period
-        mask = np.resize(wheel[offset:offset + period].ravel(), n)
+        pattern = wheel[offset:offset + period].ravel()
+        mask = _mask(n)
+        whole = n - n % pattern.size
+        mask[:whole].reshape(-1, pattern.size)[:] = pattern
+        mask[whole:] = pattern[:n - whole]
         # the first row's integers below lo, the last row's from hi, and 1
         mask[:np.searchsorted(lifts, lo - row0)] = False
         mask[n - k + np.searchsorted(lifts, hi - row0 - (rows - 1) * modulus):
@@ -304,7 +333,6 @@ class PrimePowerStream:
         for i, step in zip(idx[live].tolist(), steps[live].tolist()):
             mask[i::step] = False
         primes = np.flatnonzero(mask)
-        del mask  # freed before the conversion's temporary: lower peak RSS
         if k == 1:
             primes *= modulus
             primes += row0 + self.lifts[0]
@@ -458,6 +486,43 @@ def _segments(blocks: list[tuple[int, int]], span: int
     return segments
 
 
+def _map_segments(fn, segments: list, workers: int, processes: bool
+                  ) -> list:
+    """[fn(segment) for segment in segments], on up to `workers` workers:
+    forked processes when `processes`, else threads (see Workers in the
+    module docstring).  Every pool is gone when this returns or raises."""
+    workers = min(workers, len(segments))
+    if workers < 2:
+        return [fn(segment) for segment in segments]
+    if not processes:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, segments))
+    import multiprocessing  # here, not at import: about 15 ms and 1.3 MB
+
+    # fork hands fn to the children as it is, closure and all, unpickled
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_adopt, initargs=(fn,))
+    try:
+        results = pool.map(_run_adopted, segments, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results
+
+
+def _adopt(fn) -> None:
+    """Pool initializer: the function this child process maps."""
+    global _adopted
+    _adopted = fn
+
+
+def _run_adopted(segment):
+    return _adopted(segment)
+
+
 def _sieve_classes(limit: int, modulus: int, support):
     """The classes psi_sum sieves for a trace to `limit`: (modulus, support),
     or None for every prime, filtered by residue afterwards.
@@ -519,12 +584,8 @@ def psi_sum(source, x, checkpoints=None, workers: int | None = None
         cuts = np.searchsorted(primes, [hi for _, hi in segment[:-1]])
         return [block_part(part) for part in np.split(primes, cuts)]
 
-    n_workers = min(n_workers, len(segments))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_segment = list(pool.map(segment_parts, segments))
-    else:
-        per_segment = [segment_parts(seg) for seg in segments]
+    per_segment = _map_segments(segment_parts, segments, n_workers,
+                                processes=not stream.cached)
     parts = [part for seg in per_segment for part in seg]
 
     # Fold the sparse higher powers into their blocks, ascending in p^k.

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -777,6 +778,75 @@ def test_default_segments_bit_identical_at_1e7(workers):
     checkpoints = default_checkpoints(10**7)
     expected = psi_per_block(source, 10**7, checkpoints)
     assert psi_sum(source, 10**7, workers=workers).psi == expected
+
+
+# past the window cache, so its segments run in forked processes; the
+# checkpoint is off every block edge
+FORK_X = 2 * 10**7
+FORK_CHECKPOINTS = (12_345_678, FORK_X)
+
+
+class CountingSource:
+    """A source that counts the k = 1 `coeff_at` calls made in this process
+    and can make those made in any other process raise."""
+
+    def __init__(self, source, fail_in_child=False):
+        self._source = source
+        self._pid = os.getpid()
+        self._fail_in_child = fail_in_child
+        self.prime_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._source, name)
+
+    def coeff_at(self, p, k=1):
+        if os.getpid() != self._pid:
+            if self._fail_in_child:
+                raise ValueError("coeff_at failed in a child")
+        elif k == 1:
+            self.prime_calls += 1
+        return self._source.coeff_at(p, k)
+
+
+@pytest.mark.parametrize("name", ["thm11", "dihedral"])
+def test_uncached_trace_bits_on_processes(name):
+    source = _config_source(name)
+    expected = bits(psi_per_block(source, FORK_X, FORK_CHECKPOINTS))
+    for workers in (1, 2, 3):
+        counted = CountingSource(source)
+        rep = psi_sum(counted, FORK_X, checkpoints=FORK_CHECKPOINTS,
+                      workers=workers)
+        assert bits(rep.psi) == expected, workers
+        # one worker sums in this process, more sum none of the primes here
+        assert (counted.prime_calls > 0) == (workers == 1), workers
+        assert multiprocessing.active_children() == []
+
+
+def test_cached_trace_stays_in_this_process():
+    source = _config_source("thm11")
+    assert PrimePowerStream(10**7).cached
+    counted = CountingSource(source, fail_in_child=True)
+    psi_sum(counted, 10**7, workers=2)
+    assert counted.prime_calls > 0
+
+
+def test_failure_in_a_child_reaches_the_caller_and_leaves_no_process():
+    source = CountingSource(_config_source("thm11"), fail_in_child=True)
+    with pytest.raises(ValueError, match="failed in a child"):
+        psi_sum(source, FORK_X, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_concurrent_uncached_traces_from_threads():
+    sources = [_config_source(name) for name in ("thm11", "dihedral")]
+    serial = [bits(psi_sum(s, FORK_X, checkpoints=FORK_CHECKPOINTS,
+                           workers=1).psi) for s in sources]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(psi_sum, s, FORK_X, FORK_CHECKPOINTS, 2)
+                   for s in sources]
+        got = [bits(f.result(timeout=120).psi) for f in futures]
+    assert got == serial
+    assert multiprocessing.active_children() == []
 
 
 def test_higher_powers_fold_into_the_block_they_open():

@@ -36,3 +36,13 @@ def test_scripts_run_on_small_inputs(tmp_path):
         "--limit", "1e5", "--workers", "1"))
     assert stages["limit"] == 100_000
     assert stages["sieve_s"] > 0
+    usage = ("user_s", "system_s", "minor_faults", "max_rss_mb")
+    assert all(stages[key] >= 0 and stages["children_" + key] >= 0
+               for key in usage)
+    # past the window cache two workers are forked processes: their work
+    # shows in the children's usage
+    forked = json.loads(run_script(
+        "scripts/psi_stages.py", "--config", "configs/thm11.cfg",
+        "--limit", "2e7", "--workers", "2"))
+    assert forked["children_user_s"] > 0
+    assert forked["children_minor_faults"] > 0
