@@ -36,8 +36,9 @@ Which layout psi_sum sieves (`_sieve_classes`).  A trace that fits the
 window cache (up to about 1.3e7) reads the shared odd windows and keeps the
 primes whose residue lies in the support.  A longer trace sieves the
 support's k' lifts mod M' = lcm(2, M) when 2 k'^2 <= M', and otherwise odd
-windows plus the same filter: slices per integer scale as k'^2 / M', and
-the rule keeps them at most the odd layout's 1/2.
+windows plus the same filter: base primes cross off k' slices each over a
+mask of k' / M' bytes per integer, so slices per integer scale as
+k'^2 / M', and the rule keeps them at most the odd layout's 1/2.
 
 Sieve segments are decoupled from report blocks.  A segment is a maximal
 run of consecutive report blocks spanning at most a layout's span
@@ -49,16 +50,15 @@ each block sees exactly the primes it would get from sieving it alone, and
 the report does not depend on the span.
 
 Workers.  The segments of a trace are independent, so `psi_sum` maps them
-over up to `workers` workers (`_map_segments`) and reduces what comes back
-in segment order.  A trace past the window cache runs them on a pool of
-forked processes: the sieve's slice loop holds the GIL, so threads would
-take turns at it, while a child inherits the stream and the source with
-the fork and returns only each segment's block partials.  A trace inside
-the cache runs them on threads, since the cache lives in this process and
-a child's windows would be lost with it.  One worker sieves in the calling
-thread.  Each block's partial is formed by the same code from the same
-primes wherever it runs, and the reduction order is fixed, so the bits
-cannot depend on the worker count or on threads against processes.
+over up to `workers` workers (`_map_segments`) and reduces the results in
+segment order.  Past the window cache they run on forked processes: the
+sieve's slice loop holds the GIL, and a child inherits the stream and the
+source with the fork and returns only block partials.  Inside the cache,
+or on one worker, they run in the calling thread: the cache lives in this
+process, and threads would only take turns at its numpy bookkeeping.  A
+block's partial is formed by the same code from the same primes wherever
+it runs, in a fixed reduction order, so the bits cannot depend on the
+worker count.
 
 It is the library's one sieve: `sieve_primes(limit)` concatenates a
 stream's windows, and a stream takes its base primes from `sieve_primes`
@@ -92,7 +92,6 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -211,6 +210,15 @@ def _check_units(what: str, modulus: int, residues) -> None:
             for r in residues):
         raise ValueError(f"{what} must be unit residues mod {modulus}, "
                          f"got {sorted(residues)}")
+
+
+def residues_of(values: np.ndarray, modulus: int) -> np.ndarray:
+    """values mod `modulus` for int64 values in [0, 2^62), as a new array:
+    numpy divides by an invariant integer with a multiply and a shift
+    (Granlund and Montgomery, PLDI 1994), so this costs half of `%`."""
+    r = values // modulus
+    r *= modulus
+    return np.subtract(values, r, out=r)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -486,17 +494,13 @@ def _segments(blocks: list[tuple[int, int]], span: int
     return segments
 
 
-def _map_segments(fn, segments: list, workers: int, processes: bool
-                  ) -> list:
-    """[fn(segment) for segment in segments], on up to `workers` workers:
-    forked processes when `processes`, else threads (see Workers in the
-    module docstring).  Every pool is gone when this returns or raises."""
+def _map_segments(fn, segments: list, workers: int) -> list:
+    """[fn(segment) for segment in segments]: in the calling thread on one
+    worker, else on up to `workers` forked processes (see Workers in the
+    module docstring), whose pool is gone when this returns or raises."""
     workers = min(workers, len(segments))
     if workers < 2:
         return [fn(segment) for segment in segments]
-    if not processes:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, segments))
     import multiprocessing  # here, not at import: about 15 ms and 1.3 MB
 
     # fork hands fn to the children as it is, closure and all, unpickled
@@ -525,14 +529,8 @@ def _run_adopted(segment):
 
 def _sieve_classes(limit: int, modulus: int, support):
     """The classes psi_sum sieves for a trace to `limit`: (modulus, support),
-    or None for every prime, filtered by residue afterwards.
-
-    A trace that fits the window cache reads the shared windows of every
-    prime.  Otherwise the support's k' lifts mod M' = lcm(2, modulus) are
-    sieved when 2 k'^2 <= M': base primes cross off k' slices each over a
-    mask of k' / M' bytes per integer, so slices per integer scale as
-    k'^2 / M', and this keeps them at most the odd layout's 1/2.
-    """
+    or None for every prime, filtered by residue afterwards (see "Which
+    layout psi_sum sieves" in the module docstring)."""
     if _fits_cache(limit) or 2 * len(support) ** 2 > math.lcm(2, modulus):
         return None
     return modulus, support
@@ -580,12 +578,12 @@ def psi_sum(source, x, checkpoints=None, workers: int | None = None
         """Sieve the segment once; one partial sum per report block."""
         primes = stream.primes_in(segment[0][0], segment[-1][1])
         if classes is None:
-            primes = primes[in_support[primes % modulus]]
+            primes = np.compress(in_support[residues_of(primes, modulus)], primes)
         cuts = np.searchsorted(primes, [hi for _, hi in segment[:-1]])
         return [block_part(part) for part in np.split(primes, cuts)]
 
-    per_segment = _map_segments(segment_parts, segments, n_workers,
-                                processes=not stream.cached)
+    per_segment = _map_segments(segment_parts, segments,
+                                1 if stream.cached else n_workers)
     parts = [part for seg in per_segment for part in seg]
 
     # Fold the sparse higher powers into their blocks, ascending in p^k.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .characters import DirichletChar, is_prime
 from .fields import AbelianField
 from .automorphic import GalHeckeChar, TWIST_TOL, bc_fiber
-from .pnt import prime_powers, sieve_primes
+from .pnt import prime_powers, residues_of, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -111,19 +111,21 @@ class RsCoeffSource:
         self.support = split_classes(pi.field, pi_prime.field, self.modulus)
         self._left = _fiber_residue_table(self.pair_set.fiber_left, self.modulus)
         self._right = _fiber_residue_table(self.pair_set.fiber_right, self.modulus)
-        self._product1 = self._product(1)
+        self._product1 = self._product(np.arange(self.modulus), 1)
 
-    def _product(self, k: int) -> np.ndarray:
-        """Residue table of (sum_i chi_i^k) * conj(sum_j psi_j^k)."""
-        return (self._left ** k).sum(axis=0) * \
-            np.conj((self._right ** k).sum(axis=0))
+    def _product(self, r: np.ndarray, k: int) -> np.ndarray:
+        """(sum_i chi_i(r)^k) * conj(sum_j psi_j(r)^k) at the residues r, the
+        rows added one by one as numpy's axis-0 sum adds a whole table's; on a
+        few columns, or ones not C-ordered, that sum goes pairwise."""
+        left, right = (reduce(np.add, np.take(table, r, axis=1) ** k)
+                       for table in (self._left, self._right))
+        return left * np.conj(right)
 
     def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:
-        """a(p^k) for an int64 array of primes.  The k = 1 table, which
-        every prime reads, is built once; a k >= 2 table (one call per k
-        per trace) is built for its call and dropped."""
-        table = self._product1 if k == 1 else self._product(k)
-        vals = table[np.mod(p, self.modulus)]
+        """a(p^k) for an int64 array of primes: from the k = 1 table, built
+        once, or for k >= 2 from the fiber tables' columns at the primes."""
+        r = residues_of(p, self.modulus)
+        vals = self._product1[r] if k == 1 else self._product(r, k)
         if self.tau0:
             vals = vals * np.exp(1j * self.tau0 * k * np.log(p.astype(float)))
         return vals

@@ -22,8 +22,9 @@ psi_sum must agree with it bit for bit however its sieve segments fall.
 `plain_sieve_primes` is a byte-per-integer sieve of Eratosthenes, the
 reference for the library's segmented one; the other references here draw
 their primes from it.  `DirichletSource` is a psi_sum source of a single
-twisted character.  `MemoisedRsSource` is `RsCoeffSource.coeff_at` with a
-product table per exponent k kept from its first use.
+twisted character.  `MemoisedRsSource` is `RsCoeffSource.coeff_at` the
+full-table way: a product table over every residue per exponent k, kept
+from its first use, where the library powers only the residues asked for.
 """
 
 import cmath

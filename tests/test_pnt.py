@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -417,6 +418,20 @@ def test_higher_power_coeffs_match_scalar_loop(name):
     assert all(source.modulus % p for p in ps.tolist())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.data())
+def test_residues_of_matches_np_mod_and_leaves_its_input_alone(modulus, data):
+    values = data.draw(st.lists(st.one_of(st.integers(0, modulus - 1),
+                                          st.integers(0, 2**62 - 1))))
+    p = np.array(values, dtype=np.int64)
+    p.flags.writeable = False  # as a cached window is
+    got = pnt.residues_of(p, modulus)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.mod(p, modulus).tolist()
+    assert p.tolist() == values
+    assert not np.shares_memory(got, p)
+
+
 # ------------------------------------------------------------------- workers
 
 def test_resolve_workers_clamps_env_to_cpu_count(monkeypatch):
@@ -828,6 +843,22 @@ def test_cached_trace_stays_in_this_process():
     counted = CountingSource(source, fail_in_child=True)
     psi_sum(counted, 10**7, workers=2)
     assert counted.prime_calls > 0
+
+
+def test_cached_trace_starts_no_thread_or_process(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.start called")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    source = _config_source("thm11")
+    want = bits(psi_sum(source, 10**7, workers=1).psi)
+    assert bits(psi_sum(source, 10**7, workers=2).psi) == want
+    monkeypatch.setenv("BCLAB_THREADS", "2")
+    assert bits(psi_sum(source, 10**7).psi) == want
+    monkeypatch.setenv("BCLAB_THREADS", "two")
+    with pytest.raises(ValueError, match="BCLAB_THREADS"):
+        psi_sum(source, 10**7)
 
 
 def test_failure_in_a_child_reaches_the_caller_and_leaves_no_process():

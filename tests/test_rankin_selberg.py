@@ -426,6 +426,17 @@ def test_support_is_the_split_classes_of_both_fields():
             assert values[~on].max() <= 1e-12
 
 
+def test_higher_power_coeffs_match_full_product_tables():
+    # a k >= 2 call reads a handful of residues at large k; summing their
+    # gathered columns with .sum(axis=0), or a gather that is not C-ordered,
+    # adds the rows pairwise and moves the bits
+    for pi, pi_prime in support_pairs(24, seed=41):
+        src = RsCoeffSource(pi, pi_prime)
+        got = pnt.prime_power_coeffs(src, 10**7, k_min=2)
+        want = pnt.prime_power_coeffs(MemoisedRsSource(src), 10**7, k_min=2)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_psi_sum_bits_over_paths_and_workers_on_seeded_pairs(monkeypatch):
     x, checkpoints = 60_000, (10_000, 33_333, 60_000)
     monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 7_000)
