@@ -9,14 +9,14 @@ The trace runs in this process on the library under --src (default: this
 checkout's `src`).  `PrimePowerStream._sieve` and the source's `coeff_at`
 are wrapped and timed (summed over threads, for a --src whose psi_sum
 runs threads, so they can then exceed the wall time).  The timers see only
-work done in this process: a trace inside the window cache runs in the
-calling thread, while one past it runs its segments in forked child
-processes, whose calls are not added up here, so on several workers
-`sieve_s` and `coeff_at_s` read about 0 for such a trace.  The minor page
-faults, user and system time of the process over the trace come from
-getrusage, and so do those of its children (`children_` keys;
-`children_max_rss_mb` is the largest child's peak, `max_rss_mb` this
-process's).  Prints one JSON object.
+work done in this process: a trace inside the prime table runs in the
+calling thread, and sieves only where it extends the table, while one past
+it runs its segments in forked child processes, whose calls are not added
+up here, so on several workers `sieve_s` and `coeff_at_s` read about 0 for
+such a trace.  The minor page faults, user and system time of the process
+over the trace come from getrusage, and so do those of its children
+(`children_` keys; `children_max_rss_mb` is the largest child's peak,
+`max_rss_mb` this process's).  Prints one JSON object.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 
 Each configuration pins a different pole structure of the convolution:
 one simple pole, a double pole, no pole, and a pole moved off the real
-axis by a unitary twist.  Reports land in --outdir as JSON.
+axis by a unitary twist.  The pairs are read from configs/thm11.cfg,
+dihedral.cfg, empty_t.cfg and twist.cfg, and each is traced to --limit.
+Reports land in --outdir as JSON.
 """
 
 import argparse
@@ -11,24 +13,19 @@ import json
 import time
 from pathlib import Path
 
-from bclab.characters import DirichletChar, unit_group
-from bclab.fields import make_field
-from bclab.automorphic import base_change, trivial_over
+from bclab.config import parse_config
 from bclab.rankin_selberg import RsCoeffSource
 from bclab.pnt import decay_check, psi_sum
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-def configurations():
-    sqrt5 = make_field(5, [4])
-    gauss = make_field(4, [])
-    theta = DirichletChar(unit_group(5), [1])
-    quartic = base_change(theta, sqrt5)
-    return {
-        "one_pole": (trivial_over(sqrt5), trivial_over(gauss)),
-        "double_pole": (quartic, quartic),
-        "no_pole": (trivial_over(sqrt5), quartic),
-        "twisted_pole": (trivial_over(sqrt5, tau=0.5), trivial_over(gauss)),
-    }
+# Each experiment's report name and the config under configs/ that pins it.
+EXPERIMENTS = {
+    "one_pole": "thm11",
+    "double_pole": "dihedral",
+    "no_pole": "empty_t",
+    "twisted_pole": "twist",
+}
 
 
 def main():
@@ -38,9 +35,10 @@ def main():
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    for name, (pi, pi_prime) in configurations().items():
+    for name, config in EXPERIMENTS.items():
+        cfg = parse_config((CONFIGS / f"{config}.cfg").read_text())
         start = time.perf_counter()
-        source = RsCoeffSource(pi, pi_prime)
+        source = RsCoeffSource(cfg.pi(), cfg.pi_prime())
         report = psi_sum(source, args.limit)
         try:
             decays = decay_check(report)

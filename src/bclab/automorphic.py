@@ -161,7 +161,7 @@ def automorphic_induction(pi: GalHeckeChar) -> IsobaricSum:
 
 
 def frobenius_degree(pi: GalHeckeChar, p: int) -> int:
-    """Order of p in Gal(E/Q); requires p coprime to the ambient modulus."""
+    """Order of p in Gal(E/Q); ValueError unless p is prime to the modulus."""
     return order_mod_subgroup(pi.field.modulus, pi.field.subgroup, p)
 
 

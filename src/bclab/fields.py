@@ -9,7 +9,7 @@ through congruence arithmetic alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .characters import (UnitGroup, _join, closure, factorize, is_prime,
                          unit_group)
@@ -131,7 +131,9 @@ def _splitting(field: AbelianField, p: int) -> SplittingData:
 def order_mod_subgroup(m: int, subgroup: frozenset[int], x: int) -> int:
     """Least k >= 1 with x^k in the subgroup H of (Z/mZ)^x: the order of x
     in the quotient by H, which for a prime x is its Frobenius order in
-    Gal(E/Q).  x must be coprime to m."""
+    Gal(E/Q).  Raises ValueError unless x is coprime to m."""
+    if gcd(x, m) != 1:
+        raise ValueError(f"{x} is not a unit mod {m}")
     x %= m
     k = 1
     cur = x

@@ -33,8 +33,8 @@ Eratosthenes") and K. Walisch's primesieve, restricted to residue classes
 and reduced to what numpy slicing can do.
 
 Which layout psi_sum sieves (`_sieve_classes`).  A trace that fits the
-window cache (up to about 1.3e7) reads the shared odd windows and keeps the
-primes whose residue lies in the support.  A longer trace sieves the
+prime table (up to about 1.3e7) reads its primes from the table and keeps
+those whose residue lies in the support.  A longer trace sieves the
 support's k' lifts mod M' = lcm(2, M) when 2 k'^2 <= M', and otherwise odd
 windows plus the same filter: base primes cross off k' slices each over a
 mask of k' / M' bytes per integer, so slices per integer scale as
@@ -51,10 +51,10 @@ the report does not depend on the span.
 
 Workers.  The segments of a trace are independent, so `psi_sum` maps them
 over up to `workers` workers (`_map_segments`) and reduces the results in
-segment order.  Past the window cache they run on forked processes: the
+segment order.  Past the prime table they run on forked processes: the
 sieve's slice loop holds the GIL, and a child inherits the stream and the
-source with the fork and returns only block partials.  Inside the cache,
-or on one worker, they run in the calling thread: the cache lives in this
+source with the fork and returns only block partials.  Inside the table,
+or on one worker, they run in the calling thread: the table lives in this
 process, and threads would only take turns at its numpy bookkeeping.  A
 block's partial is formed by the same code from the same primes wherever
 it runs, in a fixed reduction order, so the bits cannot depend on the
@@ -72,17 +72,16 @@ are few (O(sqrt x)).  `prime_power_coeffs` gathers a source's a(p^k) over
 them with one `coeff_at` call per k, for `psi_sum` (k >= 2) and
 `bclab rs --csv` (every k) alike.
 
-The primes of a window [lo, hi) do not depend on the stream that asks for
-them, so `primes_in` keeps the odd-layout windows it sieves in one
-process-wide cache, keyed by (lo, hi) and shared by every stream and
-thread: `psi_sum`, `sieve_primes`, the streams' base primes and
-`prime_powers` each sieve a window once per process.  The cache holds at
-most WINDOW_CACHE_BYTES of prime arrays and evicts the least recently used
-window first.  A stream takes part only when all its primes fit that
-budget by the Rosser-Schoenfeld bound pi(x) < 1.25506 x / ln x, so a 1e7
-trace is cached and a 1e8 or 1e9 trace neither enters nor evicts
-anything; class layouts never do.  Windows are handed out as read-only
-int64 arrays, cached or not.
+The primes below a bound do not depend on how they are cut into windows,
+so one process-wide prime table, every prime below its `end`, serves every
+stream and thread: `psi_sum`, `sieve_primes`, the streams' base primes and
+`prime_powers` sieve each integer once per process.  A stream takes part
+only when all its primes fit WINDOW_CACHE_BYTES by the Rosser-Schoenfeld
+bound pi(x) < 1.25506 x / ln x, so a 1e7 trace does and a 1e8 or 1e9 trace
+leaves the table alone; class layouts never take part.  A taking-part
+stream whose limit reaches past `end` extends the table to its limit, and
+its `primes_in(lo, hi)` is a `searchsorted` slice of the table.  Windows
+are handed out as read-only int64 arrays, views of the table or sieved.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ import cmath
 import math
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,40 +108,15 @@ SEGMENTS_PER_WORKER = 4
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 
-# Bytes of prime arrays the window cache may hold: all primes below 1e7
-# (5.3 MB; the admission bound says 6.2 MB) fit, those below 2e7 do not.
+# Bytes of primes the prime table may hold: all primes below 1e7 (5.3 MB;
+# the admission bound says 6.2 MB) fit, those below 2e7 do not.
 WINDOW_CACHE_BYTES = 8 << 20
 
-
-class _WindowCache:
-    """Prime arrays by window (lo, hi), at most `budget` bytes of them, the
-    least recently used evicted first.  Safe to share between threads."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._windows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple[int, int]) -> np.ndarray | None:
-        with self._lock:
-            primes = self._windows.get(key)
-            if primes is not None:
-                self._windows.move_to_end(key)
-            return primes
-
-    def put(self, key: tuple[int, int], primes: np.ndarray) -> None:
-        with self._lock:
-            if key in self._windows or primes.nbytes > self.budget:
-                return
-            while self.nbytes + primes.nbytes > self.budget:
-                _, old = self._windows.popitem(last=False)
-                self.nbytes -= old.nbytes
-            self._windows[key] = primes
-            self.nbytes += primes.nbytes
-
-
-_WINDOWS = _WindowCache(WINDOW_CACHE_BYTES)
+# The prime table (end, primes): every prime below `end` in one read-only
+# array.  Readers take the pair without the lock: it is replaced, not changed.
+_TABLE = _EMPTY_TABLE = (0, np.array([], dtype=np.int64))
+_EMPTY_TABLE[1].flags.writeable = False
+_TABLE_LOCK = threading.Lock()
 
 
 _MASKS = threading.local()
@@ -160,7 +133,7 @@ def _mask(n: int) -> np.ndarray:
 
 
 def _fits_cache(limit: int) -> bool:
-    """Whether all primes up to `limit` fit the window cache's budget by
+    """Whether all primes up to `limit` fit the prime table's budget by
     Rosser-Schoenfeld: pi(x) < 1.25506 x / ln x for every x > 1, and each
     prime takes 8 bytes."""
     return 1.25506 * limit / math.log(limit) * 8 <= WINDOW_CACHE_BYTES
@@ -283,18 +256,39 @@ class PrimePowerStream:
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
         """Primes in [lo, hi) and in the stream's classes, for hi <= limit + 1,
-        as a read-only int64 array: from the window cache when the stream
+        as a read-only int64 array: a view of the prime table when the stream
         takes part in it (see the module docstring), else sieved."""
         if hi > self.limit + 1:
             raise ValueError(f"window end {hi} lies past limit + 1 = "
                              f"{self.limit + 1}; base primes stop at its root")
         if not self.cached:
             return self._sieve(lo, hi)
-        primes = _WINDOWS.get((lo, hi))
-        if primes is None:
-            primes = self._sieve(lo, hi)
-            _WINDOWS.put((lo, hi), primes)
-        return primes
+        end, primes = _TABLE
+        if hi > end:
+            primes = self._extend_table()
+        a, b = np.searchsorted(primes, (lo, hi))
+        return primes[a:b]
+
+    def _extend_table(self) -> np.ndarray:
+        """The table's primes, extended to limit + 1 if they stop short: the
+        new windows of at most SEGMENT integers are sieved in place into a
+        buffer of pi(limit)'s Rosser-Schoenfeld bound, after the old primes."""
+        global _TABLE
+        with _TABLE_LOCK:
+            end, primes = _TABLE
+            if end <= self.limit:
+                bound = int(1.25506 * self.limit / math.log(self.limit))
+                table = np.empty(bound, dtype=np.int64)
+                n = primes.size
+                table[:n] = primes
+                for lo in range(end, self.limit + 1, SEGMENT):
+                    part = self._sieve(lo, min(lo + SEGMENT, self.limit + 1))
+                    table[n:n + part.size] = part
+                    n += part.size
+                table = table[:n]
+                table.flags.writeable = False
+                _TABLE = self.limit + 1, table
+            return _TABLE[1]
 
     def _sieve(self, lo: int, hi: int) -> np.ndarray:
         """Primes in [lo, hi) and in the classes by the segmented sieve,

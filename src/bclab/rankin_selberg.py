@@ -19,7 +19,7 @@ import numpy as np
 from .characters import DirichletChar, is_prime
 from .fields import AbelianField
 from .automorphic import GalHeckeChar, TWIST_TOL, bc_fiber
-from .pnt import prime_powers, residues_of, sieve_primes
+from .pnt import prime_powers, residues_of
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,8 @@ def conjugation_swap_consistent(pi: GalHeckeChar, pi_prime: GalHeckeChar,
         return False
     if fwd.multiplicity and abs(fwd.tau0 + bwd.tau0) > TWIST_TOL:
         return False
-    ps = sieve_primes(limit)
-    ps = ps[fwd.modulus % ps != 0]
+    ps, ks, _ = prime_powers(limit, fwd.modulus)
+    ps = ps[ks == 1]
     if not ps.size:
         raise ValueError(f"no unramified prime up to limit {limit}")
     for k in (1, 2, 3):

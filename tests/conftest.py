@@ -12,8 +12,7 @@ settings.load_profile("bclab")
 
 
 @pytest.fixture(autouse=True)
-def empty_window_cache(monkeypatch):
-    """Every test starts with an empty prime-window cache, so a sieve test
-    sieves instead of reading windows an earlier test left behind."""
-    monkeypatch.setattr(pnt, "_WINDOWS",
-                        pnt._WindowCache(pnt.WINDOW_CACHE_BYTES))
+def empty_prime_table(monkeypatch):
+    """Every test starts with an empty prime table, so a sieve test sieves
+    instead of reading primes an earlier test left behind."""
+    monkeypatch.setattr(pnt, "_TABLE", pnt._EMPTY_TABLE)

@@ -200,6 +200,13 @@ def test_single_trivial_component():
                for c in local_coeffs_over_q(ai, 13, 4))
 
 
+def test_frobenius_degree_rejects_a_ramified_prime():
+    pi = trivial_over(sqrt5())
+    with pytest.raises(ValueError, match="5 is not a unit mod 5"):
+        frobenius_degree(pi, 5)
+    assert frobenius_degree(pi, 11) == 1 and frobenius_degree(pi, 3) == 2
+
+
 def _coeff_data_fraction_power(pi, p, j):
     """coeff_data_over_e with omega(p^{f_p})^k formed as a Fraction power:
     (omega.angle(frob) * k) % 1."""

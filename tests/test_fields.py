@@ -7,6 +7,7 @@ from bclab.fields import (
     fields_up_to_conductor,
     galois_product_check,
     make_field,
+    order_mod_subgroup,
     rationals,
     splitting_data,
     splitting_table,
@@ -107,6 +108,16 @@ def test_split_iff_residue_in_subgroup():
     for p in (2, 3, 5, 11, 13, 29, 43):
         data = splitting_data(e, p)
         assert (data.f_p == 1) == (p % 7 in e.subgroup)
+
+
+def test_order_mod_subgroup_rejects_a_non_unit():
+    # no power of a non-unit lies in H: there is no order to find
+    with pytest.raises(ValueError, match="5 is not a unit mod 5"):
+        order_mod_subgroup(5, frozenset({1, 4}), 5)
+    with pytest.raises(ValueError, match="4 is not a unit mod 10"):
+        order_mod_subgroup(10, frozenset({1, 9}), 4)
+    assert order_mod_subgroup(5, frozenset({1, 4}), 3) == 2
+    assert order_mod_subgroup(1, frozenset({0}), 7) == 1
 
 
 def test_compositum_of_coprime_quadratics():

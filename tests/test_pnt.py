@@ -250,34 +250,67 @@ def test_wheel_patterns_are_built_lazily():
                    timeout=60)
 
 
-# --------------------------------------------------------------- window cache
-
-def cached_windows():
-    return dict(pnt._WINDOWS._windows)
-
+# ---------------------------------------------------------------- prime table
 
 def test_cached_windows_match_plain_sieve_and_are_read_only(monkeypatch):
+    # every window handed out is a read-only int64 view of the prime table
+    handed = []
+    primes_in = PrimePowerStream.primes_in
+
+    def recording(stream, lo, hi):
+        primes = primes_in(stream, lo, hi)
+        handed.append((lo, hi, primes, pnt._TABLE[1]))
+        return primes
+
+    monkeypatch.setattr(PrimePowerStream, "primes_in", recording)
     psi_sum(_pair_source(), 10**6, checkpoints=(12_345, 600_000))
     sieve_primes(250_000)
     monkeypatch.setattr(pnt, "SEGMENT", 70_000)
     monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 40_000)
     psi_sum(_pair_source(), 300_000, workers=2)
-    windows = cached_windows()
-    assert len(windows) > 10
+    end, table = pnt._TABLE
     ref = plain_sieve_primes(10**6)
-    for (lo, hi), primes in windows.items():
+    assert end == 10**6 + 1 and np.array_equal(table, ref)
+    assert len(handed) > 10
+    for lo, hi, primes, then in handed:
         assert primes.dtype == np.int64
         assert not primes.flags.writeable, (lo, hi)
+        assert primes.size == 0 or np.shares_memory(primes, then), (lo, hi)
         assert np.array_equal(primes, ref[(ref >= lo) & (ref < hi)]), (lo, hi)
-    assert pnt._WINDOWS.nbytes == sum(p.nbytes for p in windows.values())
 
 
 def test_window_hit_is_the_cached_array():
-    stream = PrimePowerStream(10**6)
-    first = stream.primes_in(1_000, 50_000)
-    assert PrimePowerStream(60_000).primes_in(1_000, 50_000) is first
+    # a second stream's window is a view of the same table, not a copy
+    first = PrimePowerStream(10**6).primes_in(1_000, 50_000)
+    again = PrimePowerStream(60_000).primes_in(1_000, 50_000)
+    assert np.shares_memory(first, again) and np.array_equal(first, again)
+    assert np.shares_memory(first, pnt._TABLE[1])
     with pytest.raises(ValueError):
         first[0] = 4
+
+
+def test_table_sieves_every_integer_once_whatever_the_windows(monkeypatch):
+    # each checkpoint set cuts the trace into other windows; the table is
+    # sieved once, in windows that tile [0, limit + 1)
+    sieved = []
+    sieve = PrimePowerStream._sieve
+
+    def recording(stream, lo, hi):
+        sieved.append((lo, hi))
+        return sieve(stream, lo, hi)
+
+    monkeypatch.setattr(PrimePowerStream, "_sieve", recording)
+    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 100_000)
+    sieve_primes(10**6)
+    source = _pair_source()
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        checkpoints = rng.integers(2, 2 * 10**6, size=12).tolist()
+        psi_sum(source, 2 * 10**6, checkpoints=checkpoints)
+    sieved.sort()
+    assert sieved[0][0] == 0 and sieved[-1][1] == 2 * 10**6 + 1
+    assert all(hi == nxt for (_, hi), (nxt, _) in zip(sieved, sieved[1:]))
+    assert all(lo < hi for lo, hi in sieved)
 
 
 def test_sieve_primes_returns_a_fresh_writable_array():
@@ -291,50 +324,14 @@ def test_sieve_primes_returns_a_fresh_writable_array():
 
 def test_stream_past_the_budget_leaves_the_cache_as_it_was():
     assert PrimePowerStream(10**7).cached
-    stream = PrimePowerStream(2 * 10**7)  # its base primes enter the cache
+    stream = PrimePowerStream(2 * 10**7)  # its base primes enter the table
     assert not stream.cached
-    before = cached_windows()
-    assert before
+    before = pnt._TABLE
+    assert before[0] > math.isqrt(2 * 10**7)
     primes = stream.primes_in(10**7, 10**7 + 5_000)
     assert not primes.flags.writeable
     assert primes.tolist() == expected_primes(10**7, 10**7 + 5_000)
-    after = cached_windows()
-    assert after.keys() == before.keys()
-    assert all(after[key] is before[key] for key in before)
-
-
-def test_window_cache_evicts_least_recently_used():
-    cache = pnt._WindowCache(budget=32)
-    a, b, c = (np.arange(2, dtype=np.int64) + i for i in range(3))
-    cache.put((0, 1), a)
-    cache.put((1, 2), b)
-    assert cache.get((0, 1)) is a          # now (1, 2) is the oldest
-    cache.put((2, 3), c)
-    assert cache.get((1, 2)) is None
-    assert cache.get((0, 1)) is a and cache.get((2, 3)) is c
-    assert cache.nbytes == 32
-    cache.put((3, 4), np.arange(5, dtype=np.int64))  # larger than the budget
-    assert cache.get((3, 4)) is None
-    assert cache.get((0, 1)) is a and cache.nbytes == 32
-
-
-def test_psi_sum_never_pushes_the_cache_past_its_budget(monkeypatch):
-    # with SEGMENT below the chunk every report block is a window of its
-    # own, so each checkpoint set makes new windows: about twice the
-    # budget over the 30 sets
-    monkeypatch.setattr(pnt, "SEGMENT", 1)
-    monkeypatch.setattr(pnt, "DEFAULT_CHUNK", 100_000)
-    source = _pair_source()
-    rng = np.random.default_rng(12)
-    first = None
-    for _ in range(30):
-        checkpoints = rng.integers(2, 2 * 10**6, size=12).tolist()
-        psi_sum(source, 2 * 10**6, checkpoints=checkpoints)
-        windows = cached_windows()
-        first = first or set(windows)
-        assert pnt._WINDOWS.nbytes <= pnt.WINDOW_CACHE_BYTES
-        assert pnt._WINDOWS.nbytes == sum(p.nbytes for p in windows.values())
-    assert not first <= set(cached_windows())  # the budget forced evictions
+    assert pnt._TABLE is before
 
 
 def test_psi_sum_bits_repeat_with_the_cache_warm():
@@ -344,36 +341,46 @@ def test_psi_sum_bits_repeat_with_the_cache_warm():
     assert bits[0] == bits[1] == bits[2] == bits[3]
 
 
-def test_window_cache_under_thread_contention(monkeypatch):
-    # more threads than cores and a short switch interval; a budget of a few
-    # windows forces evictions, so a lost update would break the byte count
-    monkeypatch.setattr(pnt, "_WINDOWS", pnt._WindowCache(budget=40_000))
+def test_window_cache_under_thread_contention():
+    # more threads than cores and a short switch interval; streams of mixed
+    # limits in random order extend the prime table while others read it,
+    # and a watcher samples the table's end, which must never shrink
     ref = plain_sieve_primes(200_000)
-    windows = [(lo, lo + width) for lo in range(0, 190_000, 3_000)
-               for width in (4_000, 9_000)]
+    limits = [1_000, 5_000, 30_000, 77_777, 120_000, 150_000, 200_000]
+    ends, done = [], threading.Event()
+
+    def watch():
+        while not done.is_set():
+            ends.append(pnt._TABLE[0])
 
     def work(seed):
-        order = np.random.default_rng(seed).permutation(len(windows))
-        stream = PrimePowerStream(200_000)
-        for i in order.tolist():
-            lo, hi = windows[i]
-            got = stream.primes_in(lo, hi)
-            if not np.array_equal(got, ref[(ref >= lo) & (ref < hi)]):
-                return False
+        rng = np.random.default_rng(seed)
+        for limit in rng.permutation(limits).tolist():
+            stream = PrimePowerStream(limit)
+            for lo in rng.integers(0, limit, size=5).tolist():
+                hi = min(lo + 9_000, limit + 1)
+                got = stream.primes_in(lo, hi)
+                if not np.array_equal(got, ref[(ref >= lo) & (ref < hi)]):
+                    return False
         return True
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    watcher = threading.Thread(target=watch)
+    watcher.start()
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = [f.result(timeout=120)
                        for f in [pool.submit(work, s) for s in range(12)]]
     finally:
+        done.set()
+        watcher.join(timeout=60)
         sys.setswitchinterval(interval)
+    assert not watcher.is_alive()
     assert all(results)
-    held = dict(pnt._WINDOWS._windows)
-    assert pnt._WINDOWS.nbytes == sum(p.nbytes for p in held.values())
-    assert pnt._WINDOWS.nbytes <= 40_000
+    assert len(ends) > 1 and ends == sorted(ends)
+    end, table = pnt._TABLE
+    assert end == 200_001 and np.array_equal(table, ref)
 
 
 def test_higher_powers_complete_and_unique():
@@ -765,7 +772,7 @@ def test_full_support_sources_keep_their_bits(monkeypatch, name, fits):
 
 
 def test_sieve_classes_rule():
-    assert pnt._sieve_classes(10**7, 20, [1, 9]) is None  # cached windows
+    assert pnt._sieve_classes(10**7, 20, [1, 9]) is None  # the prime table
     assert pnt._sieve_classes(2 * 10**7, 20, [1, 9]) == (20, [1, 9])
     assert pnt._sieve_classes(2 * 10**7, 20, [1, 9, 13]) == (20, [1, 9, 13])
     assert pnt._sieve_classes(2 * 10**7, 20, [1, 3, 7, 9]) is None  # 32 > 20
@@ -795,7 +802,7 @@ def test_default_segments_bit_identical_at_1e7(workers):
     assert psi_sum(source, 10**7, workers=workers).psi == expected
 
 
-# past the window cache, so its segments run in forked processes; the
+# past the prime table, so its segments run in forked processes; the
 # checkpoint is off every block edge
 FORK_X = 2 * 10**7
 FORK_CHECKPOINTS = (12_345_678, FORK_X)
