@@ -28,6 +28,7 @@ from .characters import (
     restrict_char,
     trivial_char,
 )
+from .cyclotomic import angle_to_complex
 from .fields import AbelianField, order_mod_subgroup
 
 TWIST_TOL = 1e-12
@@ -212,7 +213,7 @@ def local_coeffs_over_e(pi: GalHeckeChar, p: int, k_max: int
             out.append(LocalCoeff(p ** j, 0j))
         else:
             mult, angle = data
-            val = mult * cmath.exp(2j * cmath.pi * float(angle))
+            val = mult * angle_to_complex(angle)
             if pi.tau:
                 val *= cmath.exp(1j * pi.tau * j * math.log(p))
             out.append(LocalCoeff(p ** j, val))

@@ -126,18 +126,17 @@ def _primitive_root(q: int, p: int) -> int:
 def _crt_lift(residue: int, q: int, modulus: int) -> int:
     # x = residue mod q, x = 1 mod modulus/q, for q || modulus.
     rest = modulus // q
-    if rest == 1:
-        return residue % modulus
-    inv_q = pow(q, -1, rest)
-    x = residue + q * ((1 - residue) * inv_q % rest)
-    return x % modulus
+    return (residue + q * ((1 - residue) * pow(q, -1, rest) % rest)) % modulus
 
 
 class _LocalGroup(NamedTuple):
     """(Z/qZ)^x for q = p^e: generators as (residue mod q, order), the
     group exponent, and the discrete log of every unit mod q, as a dict and
     as two read-only arrays: the units and, row for row, their exponent
-    vectors, in lexicographic order of the vectors."""
+    vectors, in lexicographic order of the vectors.  `kernels[c]` generates
+    {u = 1 mod p^c}, c = 0..e: the generators while that is every unit
+    (c = 0, and c = 1 for p = 2), then 1 + p^c, of order p^(e - c) like the
+    kernel, a cyclic group."""
 
     p: int
     e: int
@@ -147,6 +146,7 @@ class _LocalGroup(NamedTuple):
     dlog_table: dict[int, tuple[int, ...]]
     units: np.ndarray
     vectors: np.ndarray
+    kernels: tuple[tuple[int, ...], ...]
 
 
 def _powers_mod(g: int, n: int, q: int) -> np.ndarray:
@@ -193,7 +193,11 @@ def _local_group(p: int, e: int) -> _LocalGroup:
                                                          units.size).T
     units.flags.writeable = False
     vectors.flags.writeable = False
-    return _LocalGroup(p, e, q, gens, lcm(*orders), table, units, vectors)
+    whole = tuple(g for g, _ in gens)
+    kernels = tuple(whole if c == 0 or p ** c == 2 else ((1 + p ** c) % q,)
+                    for c in range(e + 1))
+    return _LocalGroup(p, e, q, gens, lcm(*orders), table, units, vectors,
+                       kernels)
 
 
 @lru_cache(maxsize=None)
@@ -212,19 +216,22 @@ def _local_dlog_array(p: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     return is_unit, vecs
 
 
-@lru_cache(maxsize=None)
-def _local_conductor(p: int, e: int, exponents: tuple[int, ...]) -> int:
-    """Conductor p^c of the character of (Z/p^eZ)^x with these exponents:
-    the least c for which it is trivial on every unit = 1 mod p^c."""
-    local = _local_group(p, e)
-    n = local.exponent
-    weights = [x * (n // o) for x, (_, o) in zip(exponents, local.generators)]
-    for c in range(e):
-        f = p ** c
-        if all(sum(w * k for w, k in zip(weights, vec)) % n == 0
-               for u, vec in local.dlog_table.items() if u % f == 1 % f):
-            return f
-    return local.q
+def conductor(group: UnitGroup, inside) -> int:
+    """The least f | M such that every unit = 1 mod f passes `inside`, the
+    membership test of a subgroup of (Z/MZ)^x (a field's H, a character's
+    kernel): the product over p^e || M of the least p^c whose local kernel
+    generators (`_LocalGroup.kernels`), CRT-lifted, all pass.  This is
+    exact: (1) the units = 1 mod f are the direct product of the lifted
+    local kernels; (2) a subgroup contains a product of subgroups exactly
+    when it contains each factor, and a subgroup exactly when it contains
+    its generators; (3) so the f that work are closed under gcd."""
+    f = 1
+    for local in group._locals:
+        for c, gens in enumerate(local.kernels):
+            if all(inside(_crt_lift(k, local.q, group.modulus)) for k in gens):
+                f *= local.p ** c
+                break
+    return f
 
 
 class UnitGroup:
@@ -353,16 +360,10 @@ class DirichletChar:
 
     @property
     def conductor(self) -> int:
-        """Product of the local conductors, one per prime power of M."""
+        """The conductor of the kernel of chi (`conductor`)."""
         if self._conductor is None:
-            cond = 1
-            start = 0
-            for local in self.group._locals:
-                stop = start + len(local.generators)
-                cond *= _local_conductor(local.p, local.e,
-                                         self.exponents[start:stop])
-                start = stop
-            self._conductor = cond
+            self._conductor = conductor(
+                self.group, lambda u: self.group_exponent(u) == 0)
         return self._conductor
 
     def primitive(self) -> "DirichletChar":

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .characters import (UnitGroup, _join, closure, factorize, is_prime,
-                         unit_group)
-from .cyclotomic import divisors
+from .characters import (UnitGroup, _join, all_subgroups, closure, conductor,
+                         factorize, is_prime, unit_group)
 from .pnt import sieve_primes
 
 
@@ -29,14 +28,7 @@ class AbelianField:
         self.ambient = ambient
         self.subgroup = subgroup | {1 % ambient.modulus}
         self.degree = ambient.order // len(self.subgroup)
-        cond = ambient.modulus
-        for f in divisors(ambient.modulus):
-            kernel_in_h = all(u in self.subgroup
-                              for u in ambient.units if u % f == 1 % f)
-            if kernel_in_h:
-                cond = f
-                break
-        self.conductor = cond
+        self.conductor = conductor(ambient, self.subgroup.__contains__)
         self._prim_subgroup = None
 
     @property
@@ -201,8 +193,6 @@ def splitting_table(field: AbelianField, p_max: int) -> list[SplittingData]:
 
 def fields_up_to_conductor(bound: int) -> list[AbelianField]:
     """Every abelian field of conductor <= bound, each at its conductor."""
-    from .characters import all_subgroups
-
     out = []
     for m in range(1, bound + 1):
         group = unit_group(m)

@@ -51,11 +51,12 @@ the report does not depend on the span.
 
 Workers.  The segments of a trace are independent, so `psi_sum` maps them
 over up to `workers` workers (`_map_segments`) and reduces the results in
-segment order.  Past the prime table they run on forked processes: the
-sieve's slice loop holds the GIL, and a child inherits the stream and the
-source with the fork and returns only block partials.  Inside the table,
-or on one worker, they run in the calling thread: the table lives in this
-process, and threads would only take turns at its numpy bookkeeping.  A
+segment order.  Past the prime table, from a mask of _POOL_MASK_BYTES (x k'
+/ M' bytes), they run on forked processes: the sieve's slice loop holds the
+GIL, and a child inherits the stream and the source with the fork and
+returns only block partials.  Otherwise they run in the calling thread: the
+table lives in this process, threads would take turns at its numpy
+bookkeeping, and a shorter mask is sieved before a pool has started.  A
 block's partial is formed by the same code from the same primes wherever
 it runs, in a fixed reduction order, so the bits cannot depend on the
 worker count.
@@ -104,6 +105,9 @@ SEGMENT = 3_000_000
 # A class layout's wider segments are cut so that each worker still gets at
 # least this many of them.
 SEGMENTS_PER_WORKER = 4
+# Mask bytes from which a trace forks: one thread sieves this many (thm11 to
+# 1.2e8) in about the 50 ms a pool takes to start on 2 vCPUs.
+_POOL_MASK_BYTES = 12_000_000
 
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
@@ -387,10 +391,10 @@ def prime_power_coeffs(source, limit: int, k_min: int = 1
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, p^k, a(p^k)) as arrays, ascending in p^k, over
     `prime_powers(limit, source.modulus, k_min)`; one `coeff_at` call per
-    exponent k."""
+    exponent k, and every k from k_min to the largest occurs."""
     ps, ks, powers = prime_powers(limit, source.modulus, k_min)
     vals = np.empty(ps.size, dtype=np.complex128)
-    for k in np.unique(ks).tolist():
+    for k in range(max(k_min, 1), int(ks.max(initial=0)) + 1):
         at = ks == k
         vals[at] = source.coeff_at(ps[at], k)
     return ps, powers, vals
@@ -576,8 +580,10 @@ def psi_sum(source, x, checkpoints=None, workers: int | None = None
         cuts = np.searchsorted(primes, [hi for _, hi in segment[:-1]])
         return [block_part(part) for part in np.split(primes, cuts)]
 
+    pooled = (not stream.cached and stream.limit * len(stream.lifts)
+              >= _POOL_MASK_BYTES * stream.modulus)
     per_segment = _map_segments(segment_parts, segments,
-                                1 if stream.cached else n_workers)
+                                n_workers if pooled else 1)
     parts = [part for seg in per_segment for part in seg]
 
     # Fold the sparse higher powers into their blocks, ascending in p^k.

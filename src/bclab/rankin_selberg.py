@@ -9,14 +9,15 @@ characters have finite order.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 
 import numpy as np
 
 from .characters import DirichletChar, is_prime
+from .cyclotomic import angle_to_complex
 from .fields import AbelianField
 from .automorphic import GalHeckeChar, TWIST_TOL, bc_fiber
 from .pnt import prime_powers, residues_of
@@ -155,7 +156,7 @@ def split_classes(e: AbelianField, f: AbelianField, modulus: int
 def _roots_of_unity(level: int) -> np.ndarray:
     """exp(2 pi i a / level) for a in [0, level), then a 0 at index level, so
     a gather at exponent -1 (a zero value) reads 0.  Read-only."""
-    roots = np.array([cmath.exp(2j * cmath.pi * (a / level))
+    roots = np.array([angle_to_complex(Fraction(a, level))
                       for a in range(level)] + [0j], dtype=np.complex128)
     roots.flags.writeable = False
     return roots
@@ -165,7 +166,7 @@ def _fiber_residue_table(fiber, modulus: int) -> np.ndarray:
     """Row i holds chi_i(r) for every residue r mod `modulus`: one
     `exponents_at` over all residues per fiber character, gathered from
     the roots of unity at its primitive group exponent (0 where chi_i(r)
-    = 0).  Each root is the scalar `cmath.exp(2j * pi * (a / N))`."""
+    = 0).  Each root is the scalar `angle_to_complex(a / N)`."""
     residues = np.arange(modulus, dtype=np.int64)
     table = np.empty((len(fiber), modulus), dtype=np.complex128)
     for row, (chi, _) in enumerate(fiber):

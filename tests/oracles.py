@@ -2,11 +2,12 @@
 
 Each one is written the slow, obvious way: unit groups with a full
 discrete-log table at the modulus, characters evaluated through Fraction
-angles with the conductor found by a divisor search, closures by
-breadth-first multiplication, subgroup characters as plain angle maps
-checked pairwise on every product in H, extensions by scanning the whole
-dual group and comparing angles on every element of H, tower labels by
-structural keys.  The tests compare the library's kernels against them.
+angles with the conductor found by a divisor search (a field's conductor
+too, `field_conductor_oracle`), closures by breadth-first multiplication,
+subgroup characters as plain angle maps checked pairwise on every product
+in H, extensions by scanning the whole dual group and comparing angles on
+every element of H, tower labels by structural keys.  The tests compare
+the library's kernels against them.
 
 The array kernel `DirichletChar.exponents_at` has its per-integer
 references here too: `twist_absorption_per_prime` and
@@ -181,6 +182,16 @@ class FractionChar:
         m = lcm(self.modulus, other.modulus)
         a, b = self.lift_to(m), other.lift_to(m)
         return FractionChar(m, [x + y for x, y in zip(a.exponents, b.exponents)])
+
+
+def field_conductor_oracle(m, subgroup):
+    """The least divisor f of m such that every unit = 1 mod f lies in the
+    subgroup H of (Z/mZ)^x: the divisors in ascending order, each checked
+    on every unit."""
+    units = [u for u in range(m) if gcd(u, m) == 1]
+    for f in (d for d in range(1, m + 1) if m % d == 0):
+        if all(u in subgroup for u in units if u % f == 1 % f):
+            return f
 
 
 def twist_absorption_oracle(chi, xi, pi_q, pi_q_prime, limit):

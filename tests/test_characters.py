@@ -13,6 +13,7 @@ from bclab.characters import (
     _subgroup_generators,
     all_subgroups,
     closure,
+    conductor,
     dual_group,
     factorize,
     extensions,
@@ -22,6 +23,7 @@ from bclab.characters import (
     trivial_char,
     unit_group,
 )
+from bclab.fields import AbelianField
 from bclab.pnt import sieve_primes
 from oracles import (
     EagerUnitGroup,
@@ -29,6 +31,7 @@ from oracles import (
     all_subgroups_oracle,
     closure_bfs,
     extensions_oracle,
+    field_conductor_oracle,
     is_subgroup_char_oracle,
     local_dlog_table_loop,
     restrict_char_oracle,
@@ -246,6 +249,20 @@ def test_conductor_minimality():
                 witnesses = [u for u in g.units
                              if u % d == 1 % d and chi.group_angle(u) != 0]
                 assert witnesses, (m, chi.exponents, f, d)
+
+
+def test_conductor_matches_divisor_search_oracles_to_120():
+    # the one conductor routine, for every subgroup of (Z/MZ)^x as a field
+    # and every character mod M, M <= 120, against the divisor searches
+    for m in range(1, 121):
+        g = unit_group(m)
+        for h in all_subgroups(g):
+            want = field_conductor_oracle(m, h)
+            assert AbelianField(g, h).conductor == want, (m, sorted(h))
+            assert conductor(g, h.__contains__) == want, (m, sorted(h))
+        for chi in dual_group(g):
+            assert chi.conductor == FractionChar.of(chi).conductor, (
+                m, chi.exponents)
 
 
 def divisors_brute(n):

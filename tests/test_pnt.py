@@ -425,6 +425,52 @@ def test_higher_power_coeffs_match_scalar_loop(name):
     assert all(source.modulus % p for p in ps.tolist())
 
 
+def test_prime_power_coeffs_without_prime_powers():
+    # 2, 3, 5 and 7 divide the modulus, so no p^2 reaches 100; below 2
+    # there is no prime at all
+    calls = []
+
+    class Source:
+        modulus = 210
+
+        def coeff_at(self, p, k):
+            calls.append(k)
+            return np.ones(p.size, dtype=np.complex128)
+
+    for limit, k_min in ((100, 2), (1, 1)):
+        ps, powers, vals = prime_power_coeffs(Source(), limit, k_min)
+        assert ps.size == powers.size == vals.size == 0
+    assert calls == []
+    ps, powers, vals = prime_power_coeffs(Source(), 200, 1)
+    assert calls == [1, 2] and 169 in powers.tolist()
+
+
+def test_traces_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call in a process (about 17 ms)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy\n"
+         "print('numpy.ma' in sys.modules)"], env=env, check=True,
+        capture_output=True, text=True, timeout=60)
+    if bare.stdout.strip() == "True":
+        pytest.skip("a bare numpy import already loads numpy.ma")
+    config = str(CONFIGS / "thm11.cfg")
+    code = ("import sys\n"
+            "from bclab.cli import main\n"
+            "from bclab.config import parse_config\n"
+            "from bclab.pnt import psi_sum\n"
+            "from bclab.rankin_selberg import RsCoeffSource\n"
+            f"cfg = parse_config(open({config!r}).read())\n"
+            "psi_sum(RsCoeffSource(cfg.pi(), cfg.pi_prime()), 10**5)\n"
+            "assert 'numpy.ma' not in sys.modules, 'psi_sum'\n"
+            f"assert main(['pnt', '--config', {config!r}, '--limit', '1e5',\n"
+            f"             '--out', {str(tmp_path / 'pnt.json')!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'bclab pnt'\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10**6), st.data())
 def test_residues_of_matches_np_mod_and_leaves_its_input_alone(modulus, data):
@@ -802,8 +848,8 @@ def test_default_segments_bit_identical_at_1e7(workers):
     assert psi_sum(source, 10**7, workers=workers).psi == expected
 
 
-# past the prime table, so its segments run in forked processes; the
-# checkpoint is off every block edge
+# past the prime table; the checkpoint is off every block edge.  Tests that
+# need forked processes here lower the pool's mask cut to 0.
 FORK_X = 2 * 10**7
 FORK_CHECKPOINTS = (12_345_678, FORK_X)
 
@@ -831,7 +877,8 @@ class CountingSource:
 
 
 @pytest.mark.parametrize("name", ["thm11", "dihedral"])
-def test_uncached_trace_bits_on_processes(name):
+def test_uncached_trace_bits_on_processes(name, monkeypatch):
+    monkeypatch.setattr(pnt, "_POOL_MASK_BYTES", 0)
     source = _config_source(name)
     expected = bits(psi_per_block(source, FORK_X, FORK_CHECKPOINTS))
     for workers in (1, 2, 3):
@@ -853,11 +900,7 @@ def test_cached_trace_stays_in_this_process():
 
 
 def test_cached_trace_starts_no_thread_or_process(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__}.start called")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    refuse_to_start(monkeypatch)
     source = _config_source("thm11")
     want = bits(psi_sum(source, 10**7, workers=1).psi)
     assert bits(psi_sum(source, 10**7, workers=2).psi) == want
@@ -868,14 +911,51 @@ def test_cached_trace_starts_no_thread_or_process(monkeypatch):
         psi_sum(source, 10**7)
 
 
-def test_failure_in_a_child_reaches_the_caller_and_leaves_no_process():
+def refuse_to_start(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.start called")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+def test_trace_just_past_the_table_starts_no_thread_or_process(monkeypatch):
+    # 2e7 is past the table, and its mask (x k' / M' bytes) is short of the
+    # pool's cut for thm11 (0.1 byte per integer) and the odd layout (0.5)
+    assert not PrimePowerStream(FORK_X).cached
+    quadratic = trivial_over(make_field(13, [4]))  # 6 classes mod 13: odd
+    sources = [_config_source("thm11"), RsCoeffSource(quadratic, quadratic)]
+    assert pnt._sieve_classes(FORK_X, 13, sorted(sources[1].support)) is None
+    want = [bits(psi_sum(s, FORK_X, workers=1).psi) for s in sources]
+    refuse_to_start(monkeypatch)
+    assert [bits(psi_sum(s, FORK_X, workers=2).psi) for s in sources] == want
+
+
+def test_trace_forks_from_the_mask_cut():
+    # dihedral sieves 2 of the 10 residues mod 10: its mask reaches the cut
+    # at x = 5 * _POOL_MASK_BYTES, and only from there do children sum
+    source = _config_source("dihedral")
+    cut = 5 * pnt._POOL_MASK_BYTES
+    classes = pnt._sieve_classes(cut, source.modulus, sorted(source.support))
+    assert pnt._layout(classes) == (10, (1, 9))
+    below, at = CountingSource(source), CountingSource(source)
+    psi_sum(below, cut - 1, workers=2)
+    psi_sum(at, cut, workers=2)
+    assert below.prime_calls > 0 and at.prime_calls == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_failure_in_a_child_reaches_the_caller_and_leaves_no_process(
+        monkeypatch):
+    monkeypatch.setattr(pnt, "_POOL_MASK_BYTES", 0)
     source = CountingSource(_config_source("thm11"), fail_in_child=True)
     with pytest.raises(ValueError, match="failed in a child"):
         psi_sum(source, FORK_X, workers=2)
     assert multiprocessing.active_children() == []
 
 
-def test_concurrent_uncached_traces_from_threads():
+def test_concurrent_uncached_traces_from_threads(monkeypatch):
+    monkeypatch.setattr(pnt, "_POOL_MASK_BYTES", 0)
     sources = [_config_source(name) for name in ("thm11", "dihedral")]
     serial = [bits(psi_sum(s, FORK_X, checkpoints=FORK_CHECKPOINTS,
                            workers=1).psi) for s in sources]

@@ -39,10 +39,10 @@ def test_scripts_run_on_small_inputs(tmp_path):
     usage = ("user_s", "system_s", "minor_faults", "max_rss_mb")
     assert all(stages[key] >= 0 and stages["children_" + key] >= 0
                for key in usage)
-    # past the window cache two workers are forked processes: their work
-    # shows in the children's usage
+    # past the pool's mask cut (thm11 from 1.2e8) two workers are forked
+    # processes: their work shows in the children's usage
     forked = json.loads(run_script(
         "scripts/psi_stages.py", "--config", "configs/thm11.cfg",
-        "--limit", "2e7", "--workers", "2"))
+        "--limit", "2e8", "--workers", "2"))
     assert forked["children_user_s"] > 0
     assert forked["children_minor_faults"] > 0
