@@ -2,9 +2,10 @@
 
 The unit group is presented in CRT form: (Z/MZ)^x is the product of the
 local groups (Z/p^eZ)^x over the prime powers p^e || M, each with explicit
-generators and a small discrete-log table of its own, cached per prime
-power.  A discrete log mod M joins the local ones and is memoized, so a
-group at a large modulus costs only the residues actually asked about.
+generators and one discrete-log table of its own, indexed by residue mod
+p^e and cached per prime power.  A discrete log mod M joins the local ones
+and is memoized, so a group at a large modulus costs only the residues
+actually asked about.
 Every character is an integer exponent vector and every character value is
 an exact root of unity: an integer exponent of zeta_N (a rational angle
 at the public boundary), never a float.  A Dirichlet character carries its
@@ -131,21 +132,20 @@ def _crt_lift(residue: int, q: int, modulus: int) -> int:
 
 class _LocalGroup(NamedTuple):
     """(Z/qZ)^x for q = p^e: generators as (residue mod q, order), the
-    group exponent, and the discrete log of every unit mod q, as a dict and
-    as two read-only arrays: the units and, row for row, their exponent
-    vectors, in lexicographic order of the vectors.  `kernels[c]` generates
-    {u = 1 mod p^c}, c = 0..e: the generators while that is every unit
-    (c = 0, and c = 1 for p = 2), then 1 + p^c, of order p^(e - c) like the
-    kernel, a cyclic group."""
+    group exponent, and one discrete-log table indexed by residue mod q:
+    `is_unit[r]` flags the units and `dlogs[r]` is the exponent vector of r
+    on the generators, zero at the non-units; both arrays are read-only.
+    `kernels[c]` generates {u = 1 mod p^c}, c = 0..e: the generators while
+    that is every unit (c = 0, and c = 1 for p = 2), then 1 + p^c, of order
+    p^(e - c) like the kernel, a cyclic group."""
 
     p: int
     e: int
     q: int
     generators: tuple[tuple[int, int], ...]
     exponent: int
-    dlog_table: dict[int, tuple[int, ...]]
-    units: np.ndarray
-    vectors: np.ndarray
+    is_unit: np.ndarray
+    dlogs: np.ndarray
     kernels: tuple[tuple[int, ...], ...]
 
 
@@ -184,51 +184,37 @@ def _local_group(p: int, e: int) -> _LocalGroup:
     units = np.ones(1, dtype=np.int64)
     for g, o in gens:
         units = np.multiply.outer(units, _powers_mod(g, o, q)).ravel() % q
-    table = dict(zip(units.tolist(), iter_product(*map(range, orders))))
-    if len(table) != euler_phi(q):
+    is_unit = np.zeros(q, dtype=bool)
+    is_unit[units] = True
+    if np.count_nonzero(is_unit) != euler_phi(q):
         raise ArithmeticError(
             f"generator set mod {q} does not span the unit group"
         )
-    vectors = np.indices(orders, dtype=np.int64).reshape(len(orders),
-                                                         units.size).T
-    units.flags.writeable = False
-    vectors.flags.writeable = False
+    dlogs = np.zeros((q, len(gens)), dtype=np.int64)
+    dlogs[units] = np.indices(orders, dtype=np.int64).reshape(len(gens),
+                                                              units.size).T
+    is_unit.flags.writeable = False
+    dlogs.flags.writeable = False
     whole = tuple(g for g, _ in gens)
     kernels = tuple(whole if c == 0 or p ** c == 2 else ((1 + p ** c) % q,)
                     for c in range(e + 1))
-    return _LocalGroup(p, e, q, gens, lcm(*orders), table, units, vectors,
-                       kernels)
-
-
-@lru_cache(maxsize=None)
-def _local_dlog_array(p: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array view of `_local_group(p, e).dlog_table`: a unit flag for every
-    residue mod q = p^e, and its exponent vector as a row (zero at the
-    non-units), scattered from the local group's arrays.  Both arrays are
-    read-only."""
-    local = _local_group(p, e)
-    is_unit = np.zeros(local.q, dtype=bool)
-    is_unit[local.units] = True
-    vecs = np.zeros((local.q, len(local.generators)), dtype=np.int64)
-    vecs[local.units] = local.vectors
-    is_unit.flags.writeable = False
-    vecs.flags.writeable = False
-    return is_unit, vecs
+    return _LocalGroup(p, e, q, gens, lcm(*orders), is_unit, dlogs, kernels)
 
 
 def conductor(group: UnitGroup, inside) -> int:
     """The least f | M such that every unit = 1 mod f passes `inside`, the
     membership test of a subgroup of (Z/MZ)^x (a field's H, a character's
     kernel): the product over p^e || M of the least p^c whose local kernel
-    generators (`_LocalGroup.kernels`), CRT-lifted, all pass.  This is
-    exact: (1) the units = 1 mod f are the direct product of the lifted
-    local kernels; (2) a subgroup contains a product of subgroups exactly
-    when it contains each factor, and a subgroup exactly when it contains
-    its generators; (3) so the f that work are closed under gcd."""
+    generators (`_LocalGroup.kernels`, CRT-lifted once per group in
+    `UnitGroup._kernels`) all pass.  This is exact: (1) the units = 1 mod f
+    are the direct product of the lifted local kernels; (2) a subgroup
+    contains a product of subgroups exactly when it contains each factor,
+    and a subgroup exactly when it contains its generators; (3) so the f
+    that work are closed under gcd."""
     f = 1
-    for local in group._locals:
-        for c, gens in enumerate(local.kernels):
-            if all(inside(_crt_lift(k, local.q, group.modulus)) for k in gens):
+    for local, kernels in zip(group._locals, group._kernels):
+        for c, gens in enumerate(kernels):
+            if all(inside(k) for k in gens):
                 f *= local.p ** c
                 break
     return f
@@ -239,12 +225,13 @@ class UnitGroup:
 
     The generators are the local generators of each (Z/p^eZ)^x, CRT-lifted
     to be 1 at the other prime powers, so a discrete log mod M is the
-    concatenation of the local ones.  `units` and `dlog_table` are views
-    built on first use.
+    concatenation of the local ones.  `_kernels` holds each local group's
+    kernel generators (`_LocalGroup.kernels`), lifted the same way.
+    `units` and `dlog_table` are views built on first use.
     """
 
-    __slots__ = ("modulus", "generators", "exponent", "order", "_locals",
-                 "_dlog", "_units", "_table")
+    __slots__ = ("modulus", "generators", "exponent", "order", "_kernels",
+                 "_locals", "_dlog", "_units", "_table")
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -254,8 +241,13 @@ class UnitGroup:
         self.generators = tuple((_crt_lift(g, local.q, modulus), o)
                                 for local in self._locals
                                 for g, o in local.generators)
+        self._kernels = tuple(
+            tuple(tuple(_crt_lift(k, local.q, modulus) for k in gens)
+                  for gens in local.kernels)
+            for local in self._locals)
         self.exponent = lcm(*[o for _, o in self.generators])
-        self.order = prod(len(local.dlog_table) for local in self._locals)
+        self.order = prod(int(np.count_nonzero(local.is_unit))
+                          for local in self._locals)
         self._dlog: dict[int, tuple[int, ...]] = {}
         self._units = None
         self._table = None
@@ -266,10 +258,9 @@ class UnitGroup:
         if vec is None:
             vec = ()
             for local in self._locals:
-                part = local.dlog_table.get(r % local.q)
-                if part is None:
+                if r % local.p == 0:
                     raise ValueError(f"{u} is not a unit modulo {self.modulus}")
-                vec += part
+                vec += tuple(local.dlogs[r % local.q].tolist())
             self._dlog[r] = vec
         return vec
 
@@ -370,23 +361,26 @@ class DirichletChar:
         """The primitive character inducing this one."""
         if self._primitive is None:
             f = self.conductor
-            if f == self.group.modulus:
-                self._primitive = self
-            else:
-                m = self.group.modulus
-                n = self.group.exponent
-                gf = unit_group(f)
-                exps = []
-                for h, o in gf.generators:
-                    lift = h
-                    while gcd(lift, m) != 1:
-                        lift += f
-                    a = self.group_exponent(lift) * o
-                    if a % n:
-                        raise ArithmeticError("conductor computation is broken")
-                    exps.append(a // n % o)
-                self._primitive = DirichletChar(gf, exps)
+            self._primitive = (self if f == self.group.modulus
+                               else self._restate(unit_group(f)))
         return self._primitive
+
+    def _restate(self, target: UnitGroup) -> "DirichletChar":
+        """This character on the generators of `target`, a group mod the
+        conductor or a multiple of it.  Each generator h of order o, moved
+        by multiples of the target modulus until it is a unit mod M, gives
+        chi(h) = zeta_N^a; chi(h)^o = 1 makes a * o / N the exponent."""
+        m, n, step = self.group.modulus, self.group.exponent, target.modulus
+        exps = []
+        for h, o in target.generators:
+            while gcd(h, m) != 1:
+                h += step
+            a = self.group_exponent(h) * o
+            if a % n:
+                raise ArithmeticError(
+                    f"no character mod {step} restates {self!r}")
+            exps.append(a // n % o)
+        return DirichletChar(target, exps)
 
     # -- evaluation at arbitrary integers ------------------------------------
     def primitive_exponent(self, n: int) -> int | None:
@@ -408,8 +402,8 @@ class DirichletChar:
         """`primitive_exponent` over an integer array: int64 exponents on the
         primitive character's group exponent N, and -1 where chi(n) = 0.
 
-        One gather per local factor of the primitive group, from the cached
-        local discrete-log tables.  Each term x * e is reduced mod its
+        One gather per local factor of the primitive group, from its cached
+        local discrete-log table.  Each term x * e is reduced mod its
         generator order o before it is scaled by N // o, so every partial
         sum stays below (number of generators) * N; OverflowError when that
         bound does not fit in int64.
@@ -425,11 +419,10 @@ class DirichletChar:
         is_unit = np.ones(n.shape, dtype=bool)
         exps = iter(prim.exponents)
         for local in group._locals:
-            flags, vecs = _local_dlog_array(local.p, local.e)
             r = n % local.q
-            is_unit &= flags[r]
+            is_unit &= local.is_unit[r]
             for col, (_, o) in enumerate(local.generators):
-                out += vecs[r, col] * next(exps) % o * (level // o)
+                out += local.dlogs[r, col] * next(exps) % o * (level // o)
         out %= level
         out[~is_unit] = -1
         return out
@@ -459,14 +452,7 @@ class DirichletChar:
                 f"cannot lift character mod {self.group.modulus} "
                 f"to modulus {target.modulus}"
             )
-        n = self.group.exponent
-        exps = []
-        for g, o in target.generators:
-            a = self.group_exponent(g) * o
-            if a % n:
-                raise ArithmeticError("lift produced a non-integral exponent")
-            exps.append(a // n % o)
-        return DirichletChar(target, exps)
+        return self._restate(target)
 
     def __mul__(self, other: "DirichletChar") -> "DirichletChar":
         if not isinstance(other, DirichletChar):

@@ -133,17 +133,20 @@ def _theta() -> DirichletChar:
 
 def check_factorization(limit: int = 100_000) -> tuple[bool, str]:
     """Coefficients over E equal the fiber-product coefficients over Q,
-    exactly, for all prime powers up to the limit."""
+    exactly: at every unit p mod 5 and j = 1..4, a complete residue system
+    since both sides depend on p only mod 5 and on j only mod exp(5) = 4,
+    and at all prime powers up to the limit."""
     ctx = RootContext(4)
     configs = []
     for field in (_sqrt5_field(), make_field(5, [])):
         for chi in (trivial_char(5), _theta()):
             configs.append(base_change(chi, field))
+    residues = [(r, j) for r in range(1, 5) for j in range(1, 5)]
     ps, ks, _ = prime_powers(limit, 5)
     powers = list(zip(ps.tolist(), ks.tolist()))
     for pi in configs:
         ai = automorphic_induction(pi)
-        for p, j in powers:
+        for p, j in residues + powers:
             over_e = coeff_data_over_e(pi, p, j)
             left = ctx.zero() if over_e is None else \
                 ctx.vector([(over_e[1], over_e[0])])
@@ -152,7 +155,8 @@ def check_factorization(limit: int = 100_000) -> tuple[bool, str]:
             if left != right:
                 return False, (f"mismatch at p={p}, j={j} for {pi}")
     return True, (f"{len(configs) * len(powers)} prime-power coefficients "
-                  f"agree exactly")
+                  f"and all {len(configs) * len(residues)} classes "
+                  f"(p mod 5, j mod 4) agree exactly")
 
 
 def check_cuspidal_main_term(limit: int = 10_000_000, checkpoints=None
@@ -391,7 +395,7 @@ def _wanted_checks(only) -> set[int] | None:
     Raises ValueError, listing the valid numbers, for a token that names no
     check or a string that names none at all.
     """
-    if not only:
+    if only is None:
         return None
     valid = [number for number, *_ in _CHECKS]
     tokens = [tok.strip() for tok in str(only).split(",") if tok.strip()]

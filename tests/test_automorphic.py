@@ -233,6 +233,15 @@ def test_coeff_data_over_e_matches_fraction_power():
                     assert got is None or isinstance(got[1], Fraction)
 
 
+def _factorization_holds(pi, ai, p, j, ctx):
+    """pi's coefficient at p^j over E equals that of its automorphic
+    induction ai over Q, compared exactly in ctx."""
+    over_e = coeff_data_over_e(pi, p, j)
+    left = ctx.zero() if over_e is None else \
+        ctx.vector([(over_e[1], over_e[0])])
+    return left == ctx.vector([(a, 1) for a in coeff_angles_over_q(ai, p, j)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=30), st.data())
 def test_factorization_identity_exact(m, data):
@@ -247,12 +256,23 @@ def test_factorization_identity_exact(m, data):
         if m % p == 0 and m > 1:
             continue
         for j in (1, 2, 3, 4):
-            over_e = coeff_data_over_e(pi, p, j)
-            left = ctx.zero() if over_e is None else \
-                ctx.vector([(over_e[1], over_e[0])])
-            right = ctx.vector([(a, 1)
-                                for a in coeff_angles_over_q(ai, p, j)])
-            assert left == right
+            assert _factorization_holds(pi, ai, p, j, ctx)
+
+
+def test_factorization_identity_over_a_complete_residue_system_mod_35():
+    # criterion 6's fourteen objects: both sides depend on p only mod 35
+    # and on j only mod exp(35) = 12, so these 24 * 12 cases are every case
+    g35 = unit_group(35)
+    objects = [GalHeckeChar(field, omega)
+               for field in (make_field(35, [6, 11]), make_field(35, [6, 8]))
+               for omega in subgroup_characters(g35, field.subgroup)]
+    assert len(objects) == 14
+    ctx = RootContext(g35.exponent)
+    for pi in objects:
+        ai = automorphic_induction(pi)
+        for r in g35.units:
+            for j in range(1, g35.exponent + 1):
+                assert _factorization_holds(pi, ai, r, j, ctx), (pi, r, j)
 
 
 def test_factorization_identity_with_twist_floats():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import (
     DirichletChar,
     SubgroupChar,
-    _local_dlog_array,
     _local_group,
     _subgroup_generators,
     all_subgroups,
@@ -524,22 +523,18 @@ def test_unit_group_orders_match_sympy():
 
 
 def test_local_dlog_tables_match_pow_loop():
-    # same entries in the same insertion order as one pow per unit
+    # one residue-indexed table per prime power against one pow per unit
     prime_powers = [f[0] for f in map(factorize, range(2, 2001)) if len(f) == 1]
     for p, e in prime_powers + [(131267, 1)]:
         local = _local_group(p, e)
         want = local_dlog_table_loop(local.generators, local.q)
-        assert list(local.dlog_table.items()) == list(want.items()), (p, e)
-        # the arrays row for row, and the residue view scattered from them
-        assert local.units.tolist() == list(want)
-        assert list(map(tuple, local.vectors.tolist())) == list(want.values())
-        flags, vecs = _local_dlog_array(p, e)
-        assert np.flatnonzero(flags).tolist() == sorted(want)
-        assert vecs.shape == (local.q, len(local.generators))
+        assert np.flatnonzero(local.is_unit).tolist() == sorted(want), (p, e)
+        assert local.dlogs.shape == (local.q, len(local.generators))
         rows = np.array(list(want.values()), dtype=np.int64)
-        assert np.array_equal(vecs[list(want)], rows.reshape(len(want), -1))
-        assert not vecs[~flags].any()
-        for arr in (local.units, local.vectors, flags, vecs):
+        assert np.array_equal(local.dlogs[list(want)],
+                              rows.reshape(len(want), -1)), (p, e)
+        assert not local.dlogs[~local.is_unit].any()
+        for arr in (local.is_unit, local.dlogs):
             assert not arr.flags.writeable
 
 

@@ -342,7 +342,7 @@ def test_threads_env_honored(monkeypatch):
     assert _resolve_workers(7) == 7
 
 
-@pytest.mark.parametrize("only", ["99", ",", "6,99", "0", "six", " , "])
+@pytest.mark.parametrize("only", ["99", ",", "6,99", "0", "six", " , ", ""])
 def test_run_checks_rejects_unknown_numbers(only):
     from bclab.verify import run_checks
 
@@ -351,7 +351,7 @@ def test_run_checks_rejects_unknown_numbers(only):
         run_checks(only=only, quick=True)
 
 
-@pytest.mark.parametrize("only", ["99", ",", "6,99"])
+@pytest.mark.parametrize("only", ["99", ",", "6,99", ""])
 def test_verify_unknown_check_is_a_clean_error(only, capsys):
     assert main(["verify", "--quick", "--only", only]) == 1
     captured = capsys.readouterr()

@@ -747,6 +747,28 @@ def test_config_sources_keep_their_frozen_bits(monkeypatch, name, fits):
         assert bits(rep.psi) == CONFIG_BITS[name], workers
 
 
+AVX2_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_report_bits_hold_under_the_avx2_dispatch():
+    # np.log differs from the AVX-512 dispatch in the last bit of some
+    # arguments; the frozen bits must hold on an AVX2-only machine too
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if not umath.__cpu_features__.get("X86_V4"):
+        pytest.skip("numpy does not dispatch to X86_V4 on this CPU")
+    code = ("import sys, pytest\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "assert not __cpu_features__['X86_V4']\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider',\n"
+            f"                      '-k', 'frozen', {__file__!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               NPY_DISABLE_CPU_FEATURES=AVX2_DISPATCH)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    assert "9 passed" in done.stdout, done.stdout[-4000:]
+
+
 @pytest.mark.parametrize("name", sorted(PATH_SOURCES))
 def test_no_prime_dividing_the_modulus_reaches_coeff_at(monkeypatch, name):
     # the support alone keeps the ramified primes out at k = 1, the modulus
