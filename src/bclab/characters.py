@@ -227,11 +227,11 @@ class UnitGroup:
     to be 1 at the other prime powers, so a discrete log mod M is the
     concatenation of the local ones.  `_kernels` holds each local group's
     kernel generators (`_LocalGroup.kernels`), lifted the same way.
-    `units` and `dlog_table` are views built on first use.
+    `dlog` is memoized per residue, and `units` is built on first use.
     """
 
     __slots__ = ("modulus", "generators", "exponent", "order", "_kernels",
-                 "_locals", "_dlog", "_units", "_table")
+                 "_locals", "_dlog", "_units")
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -250,7 +250,6 @@ class UnitGroup:
                           for local in self._locals)
         self._dlog: dict[int, tuple[int, ...]] = {}
         self._units = None
-        self._table = None
 
     def dlog(self, u: int) -> tuple[int, ...]:
         r = u % self.modulus
@@ -274,13 +273,6 @@ class UnitGroup:
             m = self.modulus
             self._units = tuple(u for u in range(m) if gcd(u, m) == 1)
         return self._units
-
-    @property
-    def dlog_table(self) -> dict[int, tuple[int, ...]]:
-        """Discrete log of every unit, keyed by residue."""
-        if self._table is None:
-            self._table = {u: self.dlog(u) for u in self.units}
-        return self._table
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnitGroup) and other.modulus == self.modulus

@@ -103,7 +103,10 @@ def _int_arg(value: str) -> int:
 
 
 def _checkpoint_list(value: str) -> tuple[int, ...]:
-    return tuple(_int_arg(v) for v in value.split(",") if v.strip())
+    points = tuple(_int_arg(v) for v in value.split(",") if v.strip())
+    if not points:
+        raise argparse.ArgumentTypeError(f"no checkpoint in {value!r}")
+    return points
 
 
 def cmd_field(args) -> int:

@@ -158,9 +158,16 @@ def tower(field: AbelianField) -> list[AbelianField]:
     lexicographically smallest element tuple is taken, so output is
     deterministic.
     """
-    group = field.ambient
-    chain: list[AbelianField] = []
-    current = field.subgroup
+    return [AbelianField(field.ambient, step)
+            for step in _tower_chain(field.ambient, field.subgroup)]
+
+
+def _tower_chain(group: UnitGroup, subgroup: frozenset[int]
+                 ) -> list[frozenset[int]]:
+    """The subgroups of `tower`'s chain above H, ending at the whole group,
+    with no field built per step."""
+    chain: list[frozenset[int]] = []
+    current = subgroup
     while len(current) < group.order:
         index = group.order // len(current)
         q = max(p for p, _ in factorize(index))
@@ -172,7 +179,7 @@ def tower(field: AbelianField) -> list[AbelianField]:
             if order_mod_subgroup(group.modulus, current, x) == q:
                 candidates.append(_join(group, current, x))
         step = min(candidates, key=lambda s: tuple(sorted(s)))
-        chain.append(AbelianField(group, step))
+        chain.append(step)
         current = step
     return chain
 

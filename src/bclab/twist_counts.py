@@ -12,10 +12,11 @@ instead generates an orbit of full prime length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd
 
-from .characters import is_prime
+from .characters import UnitGroup, _restriction_classes, conductor, is_prime
 
 
 class TwistPairingError(ValueError):
@@ -159,33 +160,30 @@ def noncuspidal_orbit(l: int, s: int, r: int, i0: int, j0: int
 # ---------------------------------------------------------------------------
 # Bridge from structural fibers to tower coordinates.
 
-def fiber_tower_labels(pi):
-    """Tower-exponent labels of the base-change fiber of pi.
+@lru_cache(maxsize=None)
+def _tower_frame(group: UnitGroup, subgroup: frozenset[int]
+                 ) -> tuple[FiberGroup, dict[tuple[int, ...], tuple[int, ...]]]:
+    """The tower frame of the field cut out by H = `subgroup` mod M: its
+    FiberGroup, and the tower label of every element of A_E (the [E:Q]
+    characters trivial on H) keyed by its exponent vector on the generators.
 
-    Returns (FiberGroup, labels) where labels[i] is the exponent tuple of the
-    i-th fiber character relative to the fiber base.  The coordinates follow
-    the annihilator filtration of the field's tower; at each step the basis
-    character is chosen with prime-power order matching the step so that the
-    labeling is deterministic.  All characters involved live on the field's
-    ambient group, so they are handled as exponent vectors modulo the
-    generator orders: each annihilator is the all-zero restriction class of
-    its subgroup, and the labels are solved step by step in that vector
-    group.  Raises for a degree-1 field, which has no tower coordinates.
+    The coordinates follow the annihilator filtration of the field's tower;
+    at each step the basis character is chosen with prime-power order
+    matching the step, so the labeling is deterministic.  Each annihilator
+    is the all-zero restriction class of its subgroup, and each label is
+    solved step by step in the exponent-vector group.  The cache is keyed by
+    the presentation (M, H), not by the field: presentations of one field
+    at different moduli compare equal as fields but have different exponent
+    vectors.  Callers must not mutate the cached dict.
     """
-    from .automorphic import bc_fiber
-    from .characters import _restriction_classes
-    from .fields import tower
+    from .fields import _tower_chain
 
-    field = pi.field
-    if field.degree == 1:
-        raise ValueError("the fiber over Q is a single point; no tower labels")
-    group = field.ambient
     orders = [o for _, o in group.generators]
 
     def combine(a, b, k=1):
         return tuple((x + k * y) % o for x, y, o in zip(a, b, orders))
 
-    chain = [field.subgroup] + [f.subgroup for f in tower(field)]
+    chain = [subgroup] + _tower_chain(group, subgroup)
     degrees = [len(chain[a + 1]) // len(chain[a]) for a in range(len(chain) - 1)]
     ann_chars = []
     for sub in chain:
@@ -201,13 +199,12 @@ def fiber_tower_labels(pi):
             rest //= step
         basis.append(tuple(e * rest % o
                            for e, o in zip(cand.exponents, orders)))
-    fg = fiber_group(degrees, label=f"fiber over field cond {field.conductor}")
+    cond = conductor(group, subgroup.__contains__)
+    fg = fiber_group(degrees, label=f"fiber over field cond {cond}")
 
-    fiber = bc_fiber(pi)
-    base = fiber[0][0].exponents
     labels = {}
-    for i, (chi, _) in enumerate(fiber):
-        delta = combine(chi.exponents, base, -1)
+    for chi in ann_chars[0]:
+        delta = chi.exponents
         vec = []
         for a, step in enumerate(degrees):
             for t in range(step):
@@ -220,7 +217,39 @@ def fiber_tower_labels(pi):
                 raise ArithmeticError("triangular label solve failed")
         if any(delta):
             raise ArithmeticError("label residue did not terminate at 1")
-        labels[i] = tuple(vec)
+        labels[chi.exponents] = tuple(vec)
+    return fg, labels
+
+
+def fiber_tower_labels(pi):
+    """Tower-exponent labels of the base-change fiber of pi.
+
+    Returns (FiberGroup, labels) where labels[i] is the exponent tuple of the
+    i-th fiber character relative to the fiber base.  The fiber is a coset
+    of A_E, so each difference chi - chi_base is an element of A_E, and its
+    label is one lookup in the field's tower frame (`_tower_frame`, built
+    once per presentation (M, H) and process).  Raises ValueError for a
+    degree-1 field, which has no tower coordinates, and ArithmeticError if
+    a difference lies outside A_E.
+    """
+    from .automorphic import bc_fiber
+
+    field = pi.field
+    if field.degree == 1:
+        raise ValueError("the fiber over Q is a single point; no tower labels")
+    fg, frame = _tower_frame(field.ambient, field.subgroup)
+    orders = [o for _, o in field.ambient.generators]
+    fiber = bc_fiber(pi)
+    base = fiber[0][0].exponents
+    labels = {}
+    for i, (chi, _) in enumerate(fiber):
+        delta = tuple((x - y) % o
+                      for x, y, o in zip(chi.exponents, base, orders))
+        label = frame.get(delta)
+        if label is None:
+            raise ArithmeticError(
+                f"fiber difference {delta} is not trivial on H_E")
+        labels[i] = label
     return fg, labels
 
 

@@ -282,11 +282,13 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--limit", "inf"), ("--limit", "nan"), ("--limit", "1e400"),
     ("--limit", "2.5"), ("--checkpoints", "1000,inf"),
-    ("--checkpoints", "1000,2.5"),
+    ("--checkpoints", "1000,2.5"), ("--checkpoints", ","),
+    ("--checkpoints", ""),
 ])
 def test_pnt_rejects_non_finite_or_fractional(flag, value, capsys):
     assert main(["pnt", "--config", str(THM11), flag, value]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("bclab: usage error:") and "Traceback" not in err
 
 

@@ -197,7 +197,7 @@ def test_splitting_table_matches_splitting_data():
 
 
 def test_tower_matches_coset_order_oracle():
-    for field in fields_up_to_conductor(36):
+    for field in fields_up_to_conductor(60):
         assert [sub.subgroup for sub in tower(field)] == tower_oracle(field)
 
 

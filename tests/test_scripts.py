@@ -30,6 +30,9 @@ def test_scripts_run_on_small_inputs(tmp_path):
 
     assert "0 mismatches" in run_script("scripts/sweep_twisted_pairs.py",
                                         "--bound", "12")
+    # every intersecting pair goes through the cached tower frames
+    assert "0 mismatches" in run_script("scripts/sweep_twisted_pairs.py",
+                                        "--bound", "12", "--cross-check-all")
 
     stages = json.loads(run_script(
         "scripts/psi_stages.py", "--config", "configs/thm11.cfg",

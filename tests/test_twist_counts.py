@@ -9,6 +9,7 @@ from bclab.automorphic import GalHeckeChar, base_change, trivial_over
 from bclab.twist_counts import (
     FiberGroup,
     TwistPairingError,
+    _tower_frame,
     coprime_count,
     cross_check_pair_count,
     fiber_group,
@@ -182,6 +183,41 @@ def test_labels_match_structural_key_oracle():
             fiber = extensions_oracle(omega, field.ambient)
             fg, labels = fiber_tower_labels(pi)
             assert (fg.orders, labels) == fiber_tower_labels_oracle(pi, fiber)
+
+
+def _assert_labels_match_oracle(field):
+    for omega in subgroup_characters(field.ambient, field.subgroup):
+        pi = GalHeckeChar(field, omega)
+        fiber = extensions_oracle(omega, field.ambient)
+        fg, labels = fiber_tower_labels(pi)
+        assert (fg.orders, labels) == fiber_tower_labels_oracle(pi, fiber)
+
+
+def test_labels_of_lifted_presentations_match_oracle():
+    # every field of conductor <= 24 presented at 2x and 3x its modulus
+    # first, so the cached frames of the lifts exist before those of the
+    # conductor presentations
+    _tower_frame.cache_clear()
+    fields = [f for f in fields_up_to_conductor(24) if f.degree > 1]
+    for field in fields:
+        for k in (2, 3):
+            _assert_labels_match_oracle(
+                field.lift_to(unit_group(k * field.modulus)))
+    for field in fields:
+        _assert_labels_match_oracle(field)
+
+
+def test_equal_fields_at_two_moduli_get_their_own_frames():
+    # criterion 6 presents the quartic field of conductor 5 mod 35: the
+    # field compares equal to its conductor presentation, but its exponent
+    # vectors have two entries, not one
+    e5 = make_field(5, [])
+    e35 = make_field(35, [6, 11])
+    assert e5 == e35 and hash(e5) == hash(e35)
+    _tower_frame.cache_clear()
+    for field in (e5, e35, e5):
+        _assert_labels_match_oracle(field)
+    assert _tower_frame.cache_info().currsize == 2
 
 
 def test_cross_check_on_named_configurations():
