@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement
 from bclab.characters import extensions, subgroup_characters
 from bclab.fields import fields_up_to_conductor
 from bclab.automorphic import GalHeckeChar
+from bclab.rankin_selberg import twisted_pairs
 from bclab.twist_counts import cross_check_pair_count
 
 
@@ -40,8 +41,9 @@ def main():
         size = len(ka & kb)
         histogram[size] += 1
         if size and (args.cross_check_all or ea.modulus * eb.modulus <= 400):
+            pi, pi_prime = GalHeckeChar(ea, oa), GalHeckeChar(eb, ob)
             structural, symbolic = cross_check_pair_count(
-                GalHeckeChar(ea, oa), GalHeckeChar(eb, ob))
+                pi, pi_prime, twisted_pairs(pi, pi_prime))
             checked += 1
             if structural != symbolic or structural != size:
                 mismatches += 1

@@ -15,6 +15,7 @@ the twists to TWIST_TOL.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,11 +47,23 @@ def twisted_equal(a: tuple[DirichletChar, float],
 
 @dataclass(frozen=True, eq=False)
 class GalHeckeChar:
-    """Cuspidal GL(1) object over E: a character of H_E with a unitary twist."""
+    """Cuspidal GL(1) object over E: a character of H_E with a unitary twist.
+
+    Its local data at a prime p, the residue degree f_p and the value
+    omega(p^{f_p}), depend on p only through p mod m, the modulus E is
+    presented at: for p prime to m the Frobenius of p in Gal(E/Q) =
+    (Z/mZ)^x / H_E is the class of p (Washington, *Introduction to
+    Cyclotomic Fields*, ch. 3), and for the other p the coefficients are 0.
+    `coeff_data_over_e` memoizes them here per residue, at most m entries.
+    The memo lives on the object, never in a table keyed by the object or
+    its field, whose equality ignores the modulus.
+    """
 
     field: AbelianField
     omega: SubgroupChar
     tau: float = 0.0
+    _frobenius: dict[int, tuple[int, int, int] | None] = dataclasses.field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.omega.group != self.field.ambient:
@@ -83,10 +96,13 @@ class IsobaricSum:
     """Formal sum of twisted Dirichlet characters over Q.
 
     The L-function of the sum is the product of the components', so its
-    coefficients are the componentwise sums.
+    coefficients are the componentwise sums.  Each chi(n) depends on n only
+    mod the conductor of chi, so all of them depend on n only mod the lcm L
+    of the conductors; `coeff_angles_over_q` memoizes the nonzero angles
+    here per residue n mod L, at most L entries.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_level", "_angles")
 
     def __init__(self, components):
         components = tuple((chi, float(tau)) for chi, tau in components)
@@ -97,6 +113,8 @@ class IsobaricSum:
                         "isobaric components must be pairwise distinct"
                     )
         self.components = components
+        self._level = math.lcm(*(chi.conductor for chi, _ in components))
+        self._angles: dict[int, tuple[Fraction, ...]] = {}
 
     @property
     def degree(self) -> int:
@@ -166,34 +184,56 @@ def frobenius_degree(pi: GalHeckeChar, p: int) -> int:
     return order_mod_subgroup(pi.field.modulus, pi.field.subgroup, p)
 
 
+def _frobenius_entry(pi: GalHeckeChar, r: int) -> tuple[int, int, int] | None:
+    """(f_p, a, N) with omega(p^{f_p}) = zeta_N^a for every p = r mod the
+    modulus, or None when r is not a unit there."""
+    m = pi.field.modulus
+    if m > 1 and math.gcd(r, m) != 1:
+        return None
+    f_p = frobenius_degree(pi, r)
+    frob = pow(r, f_p, m) if m > 1 else 0
+    return (f_p, *pi.omega.value_exponent(frob))
+
+
 def coeff_data_over_e(pi: GalHeckeChar, p: int, j: int
                       ) -> tuple[int, Fraction] | None:
     """Exact coefficient of pi at p^j as (integer multiple, angle), or None.
 
-    The coefficient is f_p * g_p * omega(p^{f_p})^k when j = f_p * k, and
-    zero otherwise.  The unitary twist is not included here.
+    The coefficient is f_p * g_p * omega(p^{f_p})^k = [E:Q] *
+    omega(p^{f_p})^k when j = f_p * k, and zero otherwise.  The unitary
+    twist is not included here.  p enters only through p mod m, so f_p and
+    omega(p^{f_p}) are read from pi's per-residue memo (`GalHeckeChar`).
     """
-    m = pi.field.modulus
-    if m > 1 and math.gcd(p, m) != 1:
+    r = p % pi.field.modulus
+    memo = pi._frobenius
+    try:
+        entry = memo[r]
+    except KeyError:
+        entry = memo[r] = _frobenius_entry(pi, r)
+    if entry is None:
         return None
-    f_p = frobenius_degree(pi, p)
-    if j % f_p != 0:
+    f_p, a, level = entry
+    if j % f_p:
         return None
-    k = j // f_p
-    g_p = pi.field.degree // f_p
-    frob = pow(p, f_p, m) if m > 1 else 0
-    a, level = pi.omega.value_exponent(frob)
-    return f_p * g_p, _angle(a * k % level, level)
+    return pi.field.degree, _angle(a * (j // f_p) % level, level)
 
 
 def coeff_angles_over_q(sum_: IsobaricSum, p: int, j: int) -> list[Fraction]:
-    """Angles of the nonzero component values chi(p^j); twists not included."""
-    out = []
-    for chi, _ in sum_.components:
-        q = chi.angle(pow(p, j))
-        if q is not None:
-            out.append(q)
-    return out
+    """Angles of the nonzero component values chi(p^j); twists not included.
+
+    p^j enters only through p^j mod L, the lcm of the components'
+    conductors, so the angles are read from the sum's per-residue memo
+    (`IsobaricSum`); the list returned is the caller's own.
+    """
+    n = pow(p, j, sum_._level)
+    memo = sum_._angles
+    try:
+        angles = memo[n]
+    except KeyError:
+        angles = memo[n] = tuple(
+            q for q in (chi.angle(n) for chi, _ in sum_.components)
+            if q is not None)
+    return list(angles)
 
 
 def local_coeffs_over_e(pi: GalHeckeChar, p: int, k_max: int

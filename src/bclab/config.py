@@ -218,8 +218,14 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def experiment_text(cfg: ExperimentConfig) -> str:
     """The canonical serialization without `out` and `csv`, which say where
-    artifacts are written, not what experiment they hold."""
-    return serialize_config(replace(cfg, out=None, csv=None))
+    artifacts are written, not what experiment they hold.  Given checkpoints
+    are written as `psi_sum` uses them: sorted, without repeats, with the
+    limit added; an absent list stays absent."""
+    checkpoints = cfg.checkpoints
+    if checkpoints is not None:
+        checkpoints = tuple(sorted(set(checkpoints) | {cfg.limit}))
+    return serialize_config(
+        replace(cfg, checkpoints=checkpoints, out=None, csv=None))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

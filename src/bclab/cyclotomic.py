@@ -66,6 +66,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _off_level(angle: Fraction, level: int) -> ValueError:
+    return ValueError(f"angle {normalize_angle(angle)} does not live at "
+                      f"cyclotomic level {level}")
+
+
 class RootContext:
     """Reduction tables for sums of N-th roots of unity.
 
@@ -97,20 +102,21 @@ class RootContext:
         self._powers = table
 
     def exponent_of(self, angle: Fraction) -> int:
-        den = angle.denominator
-        if self.level % den != 0:
-            raise ValueError(
-                f"angle {normalize_angle(angle)} does not live at cyclotomic "
-                f"level {self.level}"
-            )
-        return angle.numerator * (self.level // den) % self.level
+        scale, off = divmod(self.level, angle.denominator)
+        if off:
+            raise _off_level(angle, self.level)
+        return angle.numerator * scale % self.level
 
     def vector(self, terms: Iterable[tuple[Fraction, int]]) -> tuple[int, ...]:
+        level, powers = self.level, self._powers
         acc = [0] * self.degree
         for angle, mult in terms:
-            if mult == 0:
+            if not mult:
                 continue
-            row = self._powers[self.exponent_of(angle)]
+            den = angle.denominator
+            if level % den:
+                raise _off_level(angle, level)
+            row = powers[angle.numerator * (level // den) % level]
             for i, c in enumerate(row):
                 acc[i] += mult * c
         return tuple(acc)

@@ -253,16 +253,19 @@ def fiber_tower_labels(pi):
     return fg, labels
 
 
-def cross_check_pair_count(pi, pi_prime) -> tuple[int, int]:
+def cross_check_pair_count(pi, pi_prime, pairing=None) -> tuple[int, int]:
     """(structural |T|, symbolic subgroup order) for a pair of objects.
 
     The structural count enumerates fiber matches; the symbolic one maps the
     matched fiber elements into tower coordinates and measures the projected
-    subgroup.  The two must always agree.
+    subgroup.  The two must always agree.  A caller that already holds
+    `twisted_pairs(pi, pi_prime)` passes it as `pairing`; otherwise it is
+    computed here.
     """
-    from .rankin_selberg import twisted_pairs
+    if pairing is None:
+        from .rankin_selberg import twisted_pairs
 
-    pairing = twisted_pairs(pi, pi_prime)
+        pairing = twisted_pairs(pi, pi_prime)
     if pi.field.degree == 1:
         # Trivial fiber group on the left: the projection is a point.
         return pairing.size, min(pairing.size, 1)

@@ -251,7 +251,8 @@ def check_coprime_degrees(_: int = 0) -> tuple[bool, str]:
             if predicted != pairing.size:
                 return False, (f"symbolic count {predicted} != structural "
                                f"{pairing.size}")
-            structural, symbolic = cross_check_pair_count(pi, pi_prime)
+            structural, symbolic = cross_check_pair_count(pi, pi_prime,
+                                                            pairing)
             if structural != symbolic:
                 return False, "tower-coordinate count disagrees"
             count += 1
@@ -289,7 +290,8 @@ def check_pairing_uniqueness(bound: int = 60) -> tuple[bool, str]:
                 return False, "twisted_pairs disagrees with key intersection"
             if pairing.size and pairing.tau0 != 0.0:
                 return False, "tau0 should vanish for untwisted objects"
-            structural, symbolic = cross_check_pair_count(pi, pi_prime)
+            structural, symbolic = cross_check_pair_count(pi, pi_prime,
+                                                            pairing)
             if structural != symbolic:
                 return False, "tower-coordinate count disagrees"
             cross_checked += 1

@@ -14,6 +14,10 @@ references here too: `twist_absorption_per_prime` and
 `fiber_residue_table_loop` call the scalar `primitive_exponent` once per
 prime power or residue, in Python integers.
 
+`coeff_data_over_e_per_call` and `coeff_angles_over_q_per_call` are the
+local coefficients of criterion 1's identity computed afresh at every
+prime power, where the library reads them from a memo per residue.
+
 `local_dlog_table_loop` builds a local discrete-log table one `pow` per
 unit, in the order the library's vectorised table must keep.
 
@@ -38,6 +42,7 @@ from math import gcd, lcm
 import numpy as np
 
 from bclab.characters import DirichletChar, dual_group, factorize
+from bclab.fields import order_mod_subgroup
 from bclab import pnt
 from bclab.pnt import PrimePowerStream
 
@@ -426,6 +431,29 @@ def fiber_tower_labels_oracle(pi, fiber):
         assert delta.is_trivial
         labels[i] = tuple(vec)
     return tuple(degrees), labels
+
+
+def coeff_data_over_e_per_call(pi, p, j):
+    """`coeff_data_over_e` with nothing kept between calls: the residue
+    degree f_p by `order_mod_subgroup` and omega(p^{f_p}) by
+    `value_exponent`, both at p itself."""
+    m = pi.field.modulus
+    if m > 1 and gcd(p, m) != 1:
+        return None
+    f_p = order_mod_subgroup(m, pi.field.subgroup, p)
+    if j % f_p:
+        return None
+    frob = pow(p, f_p, m) if m > 1 else 0
+    a, level = pi.omega.value_exponent(frob)
+    return f_p * (pi.field.degree // f_p), Fraction(a * (j // f_p) % level,
+                                                    level)
+
+
+def coeff_angles_over_q_per_call(sum_, p, j):
+    """`coeff_angles_over_q` with nothing kept between calls: each
+    component's angle at the integer p^j itself."""
+    angles = (chi.angle(pow(p, j)) for chi, _ in sum_.components)
+    return [q for q in angles if q is not None]
 
 
 def psi_per_block(source, x, checkpoints):

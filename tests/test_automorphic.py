@@ -36,6 +36,8 @@ from bclab.automorphic import (
 )
 from bclab.pnt import sieve_primes
 
+from oracles import coeff_angles_over_q_per_call, coeff_data_over_e_per_call
+
 
 def sqrt5():
     return make_field(5, [4])
@@ -231,6 +233,80 @@ def test_coeff_data_over_e_matches_fraction_power():
                     got = coeff_data_over_e(pi, p, j)
                     assert got == _coeff_data_fraction_power(pi, p, j)
                     assert got is None or isinstance(got[1], Fraction)
+
+
+def _residue_sweep(m):
+    """(p, j) for every residue r mod m, units or not, at p = r + k * m for
+    k = 0..3 and j = 1..2 * exp(m): each residue comes before its larger
+    representatives."""
+    exponent = unit_group(m).exponent
+    return [(r + k * m, j) for r in range(m) for k in range(4)
+            for j in range(1, 2 * exponent + 1)]
+
+
+def _assert_memo_matches(fn, make, cases, expected):
+    # one fresh object meets each residue before its larger representatives,
+    # another after them; both must give the per-call oracle's values
+    for order in (1, -1):
+        obj = make()
+        assert [fn(obj, p, j) for p, j in cases[::order]] == expected[::order]
+
+
+def test_memoized_coefficients_match_per_call_oracles():
+    # every config of conductor <= 24 at its own modulus m and lifted to 2m
+    # and 3m; over E every residue mod the presentation's modulus, over Q
+    # every residue mod m, which the conductors' lcm L divides, so the
+    # sweeps reach every class either memo can hold
+    for field in fields_up_to_conductor(24):
+        for omega in subgroup_characters(field.ambient, field.subgroup):
+            ai = automorphic_induction(GalHeckeChar(field, omega))
+            over_q = _residue_sweep(field.modulus)
+            expected_q = [coeff_angles_over_q_per_call(ai, p, j)
+                          for p, j in over_q]
+            for k in (1, 2, 3):
+                pi = base_change(GalHeckeChar(field, omega),
+                                 field.lift_to(unit_group(k * field.modulus)))
+                over_e = _residue_sweep(pi.field.modulus)
+                _assert_memo_matches(
+                    coeff_data_over_e, lambda: GalHeckeChar(pi.field, pi.omega),
+                    over_e, [coeff_data_over_e_per_call(pi, p, j)
+                             for p, j in over_e])
+                _assert_memo_matches(
+                    coeff_angles_over_q, lambda: automorphic_induction(pi),
+                    over_q, expected_q)
+
+
+def test_equal_fields_at_other_moduli_keep_their_own_memos():
+    # Q(zeta_5) mod 5, 35 and 10 compare equal, but p = 7 is a unit mod 5
+    # and not mod 35, and p = 2 a unit mod 5 and not mod 10: a memo shared
+    # by equal fields (mod 5 and mod 10 even share the one trivial omega's
+    # exponents), or keyed by p mod the conductor, answers one wrongly
+    e5, e35, e10 = make_field(5, []), make_field(35, [6, 11]), \
+        make_field(10, [])
+    assert e5 == e35 == e10 and hash(e5) == hash(e35) == hash(e10)
+    objects = [GalHeckeChar(field, omega) for field in (e5, e35, e10, e5)
+               for omega in subgroup_characters(field.ambient, field.subgroup)]
+    for p, j in _residue_sweep(35):
+        for pi in objects:
+            assert coeff_data_over_e(pi, p, j) == \
+                coeff_data_over_e_per_call(pi, p, j), (pi, p, j)
+    assert coeff_data_over_e(objects[0], 7, 4) is not None
+    assert coeff_data_over_e(objects[1], 7, 4) is None
+    assert coeff_data_over_e(objects[0], 2, 4) is not None
+    assert coeff_data_over_e(objects[-2], 2, 4) is None
+
+
+def test_mutating_returned_angles_leaves_the_memo_alone():
+    ai = automorphic_induction(base_change(theta(), make_field(5, [])))
+    first = coeff_angles_over_q(ai, 11, 1)
+    assert len(first) == 4
+    first.append(Fraction(1, 3))
+    first[0] = Fraction(1, 7)
+    again = coeff_angles_over_q(ai, 11, 1)
+    assert again == coeff_angles_over_q_per_call(ai, 11, 1)
+    again.clear()
+    assert coeff_angles_over_q(ai, 11, 1) == \
+        coeff_angles_over_q_per_call(ai, 11, 1)
 
 
 def _factorization_holds(pi, ai, p, j, ctx):

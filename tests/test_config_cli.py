@@ -267,6 +267,23 @@ def test_pnt_stamp_does_not_depend_on_the_output_paths(tmp_path):
     assert str(tmp_path) not in outs[0][0]["config_text"]
 
 
+def _pnt_stamp(capsys, *flags):
+    assert main(["pnt", "--config", str(THM11), "--limit", "1e5",
+                 *flags]) == 0
+    return json.loads(capsys.readouterr().out)["config_sha256"]
+
+
+def test_pnt_stamp_hashes_the_checkpoints_the_report_uses(capsys):
+    # every list below gives checkpoints [10000, 100000]; the default run
+    # keeps the stamp it had when given lists were hashed as written
+    stamps = {_pnt_stamp(capsys, "--checkpoints", value)
+              for value in ("1e4", "1e4,1e4", "1e4,1e5", "1e5,1e4")}
+    assert stamps == {"1f6e64fc0d22d2fc825a0d6cf025585d"
+                      "d5538b0fd0be64cb806e21884c8f3547"}
+    assert _pnt_stamp(capsys) == ("45ccd84bede067c0d481f375343c49ce"
+                                  "d37d46379288b6bd79df3859f94994f0")
+
+
 def test_artifact_version_matches_the_package_version():
     tomllib = pytest.importorskip("tomllib")
     with open(REPO / "pyproject.toml", "rb") as fh:

@@ -83,6 +83,8 @@ def test_splitting_fg_product_sweep():
                 assert by_class[r] == (data.f_p, data.g_p)
             else:
                 by_class[r] = (data.f_p, data.g_p)
+        # the primes reach every unit class, so the sweep is complete
+        assert set(by_class) == set(unit_group(cond).units)
 
 
 def test_splitting_at_prime_dividing_redundant_modulus():

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import DirichletChar, subgroup_characters, unit_group
 from bclab.fields import fields_up_to_conductor, make_field
 from bclab.automorphic import GalHeckeChar, base_change, trivial_over
+from bclab.rankin_selberg import twisted_pairs
 from bclab.twist_counts import (
     FiberGroup,
     TwistPairingError,
@@ -223,6 +224,20 @@ def test_cross_check_on_named_configurations():
     assert cross_check_pair_count(trivial_over(e), pi) == (0, 0)
     z5 = trivial_over(make_field(5, []))
     assert cross_check_pair_count(z5, z5) == (4, 4)
+
+
+def test_cross_check_with_the_callers_pairing_matches_its_own():
+    # every pair of the conductor <= 24 population
+    configs = [GalHeckeChar(field, omega)
+               for field in fields_up_to_conductor(24)
+               for omega in subgroup_characters(field.ambient, field.subgroup)]
+    sizes = set()
+    for pi, pi_prime in combinations_with_replacement(configs, 2):
+        pairing = twisted_pairs(pi, pi_prime)
+        got = cross_check_pair_count(pi, pi_prime, pairing)
+        assert got == cross_check_pair_count(pi, pi_prime)
+        sizes.add(got[0])
+    assert len(sizes) > 2
 
 
 @settings(max_examples=50, deadline=None)
