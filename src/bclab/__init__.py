@@ -2,7 +2,7 @@
 fields, twisted-pair counting for the resulting convolutions, and sieve-backed
 prime number theorem experiments."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .characters import (
     DirichletChar,

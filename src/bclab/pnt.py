@@ -11,9 +11,9 @@ The support.  A source's a(p) is nonzero, for p prime to its `modulus`,
 only when p mod modulus lies in its `support`.  For a pair a(p) =
 A_1(p mod M) p^{i tau0}, and A_1 vanishes off the classes split in both
 fields (H_E and H_F lifted mod M), which can be a few percent of the
-units; off them the float tables hold only the residue of cancelled fiber
-sums.  So the k = 1 sum runs over the primes of the support alone, and the
-higher powers p^k, k >= 2, over every prime not dividing the modulus.  The
+units; off them a pair's coefficients are exactly 0, so restricting the
+k = 1 sum to the primes of the support only saves work.  The higher
+powers p^k, k >= 2, run over every prime not dividing the modulus.  The
 primes dividing it are excluded from every sum: no unit class holds one, so
 the support alone keeps them out at k = 1.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -95,11 +95,13 @@ def pair_modulus(pi: GalHeckeChar, pi_prime: GalHeckeChar) -> int:
 class RsCoeffSource:
     """Streaming convolution coefficients a(p^k), vectorized over primes.
 
-    a(p^k) = (sum_i chi_i(p^k)) * conj(sum_j psi_j(p^k)) * p^{i k tau0},
-    evaluated through residue tables modulo the common ambient modulus.
-    `support` holds the residues mod `modulus` where a(p) is nonzero
-    (`split_classes`).  The primes dividing `modulus`, the ramified ones,
-    are excluded from every sum.
+    A fiber sums to [E:Q] chi_0(n) 1[n in H_E] (`split_classes`), so a(p^k)
+    = `scale` xi(p^k) 1_H(p^k) p^{i k tau0} with `scale` = [E:Q][F:Q], xi =
+    chi_0 conj(psi_0) and H = H_E cap H_F mod the common modulus M, the
+    classes `support`.  Untwisted, a(p^k) is `_table` at p^k mod M: scale
+    zeta_N^e on H, e from xi's integer `exponents` on its primitive level
+    N, and an exact 0 off H for every k.  The primes dividing M, the
+    ramified ones, are excluded from every sum.
     """
 
     def __init__(self, pi: GalHeckeChar, pi_prime: GalHeckeChar):
@@ -110,26 +112,34 @@ class RsCoeffSource:
         self.tau0 = (pi.tau - pi_prime.tau)
         self.modulus = pair_modulus(pi, pi_prime)
         self.support = split_classes(pi.field, pi_prime.field, self.modulus)
-        self._left = _fiber_residue_table(self.pair_set.fiber_left, self.modulus)
-        self._right = _fiber_residue_table(self.pair_set.fiber_right, self.modulus)
-        self._product1 = self._product(np.arange(self.modulus), 1)
-
-    def _product(self, r: np.ndarray, k: int) -> np.ndarray:
-        """(sum_i chi_i(r)^k) * conj(sum_j psi_j(r)^k) at the residues r, the
-        rows added one by one as numpy's axis-0 sum adds a whole table's; on a
-        few columns, or ones not C-ordered, that sum goes pairwise."""
-        left, right = (reduce(np.add, np.take(table, r, axis=1) ** k)
-                       for table in (self._left, self._right))
-        return left * np.conj(right)
+        self.scale = pi.field.degree * pi_prime.field.degree
+        xi = self.pair_set.fiber_left[0][0] * \
+            self.pair_set.fiber_right[0][0].conjugate()
+        self.exponents = xi.exponents_at(np.arange(self.modulus))
+        on = list(self.support)
+        roots = _roots_of_unity(xi.primitive().group.exponent)
+        self._table = np.zeros(self.modulus, dtype=np.complex128)
+        self._table[on] = self.scale * roots[self.exponents[on]]
 
     def coeff_at(self, p: np.ndarray, k: int = 1) -> np.ndarray:
-        """a(p^k) for an int64 array of primes: from the k = 1 table, built
-        once, or for k >= 2 from the fiber tables' columns at the primes."""
+        """a(p^k) for an int64 array of primes: one gather from the residue
+        table at p^k mod M, formed from p mod M by squaring residues."""
         r = residues_of(p, self.modulus)
-        vals = self._product1[r] if k == 1 else self._product(r, k)
+        vals = self._table[_power_mod(r, k, self.modulus)]
         if self.tau0:
             vals = vals * np.exp(1j * self.tau0 * k * np.log(p.astype(float)))
         return vals
+
+
+def _power_mod(r: np.ndarray, k: int, modulus: int) -> np.ndarray:
+    """r^k mod `modulus` for residues r and k >= 1, by square-and-multiply:
+    products stay below modulus^2, where p^k would overflow int64."""
+    out = r
+    for bit in bin(k)[3:]:
+        out = out * out % modulus
+        if bit == "1":
+            out = out * r % modulus
+    return out
 
 
 def split_classes(e: AbelianField, f: AbelianField, modulus: int
@@ -140,10 +150,11 @@ def split_classes(e: AbelianField, f: AbelianField, modulus: int
     r is a unit mod `modulus`.
 
     The fiber of pi over E is the [E:Q] characters extending omega from
-    H_E, so by orthogonality of the characters trivial on H_E its fiber sum
-    at a unit r is [E:Q] chi_0(r) on H_E and 0 off it.  A pair's a(p) is
-    therefore nonzero, of absolute value [E:Q][F:Q], exactly on these
-    classes.  Computed from the subgroups in integers.
+    H_E, a coset chi_0 A_E of the characters trivial on H_E, so by their
+    orthogonality its sum at a unit n is [E:Q] chi_0(n) on H_E and 0 off
+    it (Washington, *Introduction to Cyclotomic Fields*, ch. 3).  A pair's
+    a(p) is therefore nonzero, of absolute value [E:Q][F:Q], exactly on
+    these classes.  Computed from the subgroups in integers.
     """
     residues = np.arange(modulus, dtype=np.int64)
     keep = np.ones(modulus, dtype=bool)
@@ -160,19 +171,6 @@ def _roots_of_unity(level: int) -> np.ndarray:
                       for a in range(level)] + [0j], dtype=np.complex128)
     roots.flags.writeable = False
     return roots
-
-
-def _fiber_residue_table(fiber, modulus: int) -> np.ndarray:
-    """Row i holds chi_i(r) for every residue r mod `modulus`: one
-    `exponents_at` over all residues per fiber character, gathered from
-    the roots of unity at its primitive group exponent (0 where chi_i(r)
-    = 0).  Each root is the scalar `angle_to_complex(a / N)`."""
-    residues = np.arange(modulus, dtype=np.int64)
-    table = np.empty((len(fiber), modulus), dtype=np.complex128)
-    for row, (chi, _) in enumerate(fiber):
-        roots = _roots_of_unity(chi.primitive().group.exponent)
-        table[row] = roots[chi.exponents_at(residues)]
-    return table
 
 
 def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,

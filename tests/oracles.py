@@ -10,9 +10,8 @@ every element of H, tower labels by structural keys.  The tests compare
 the library's kernels against them.
 
 The array kernel `DirichletChar.exponents_at` has its per-integer
-references here too: `twist_absorption_per_prime` and
-`fiber_residue_table_loop` call the scalar `primitive_exponent` once per
-prime power or residue, in Python integers.
+reference here too: `twist_absorption_per_prime` calls the scalar
+`primitive_exponent` once per prime power, in Python integers.
 
 `coeff_data_over_e_per_call` and `coeff_angles_over_q_per_call` are the
 local coefficients of criterion 1's identity computed afresh at every
@@ -28,8 +27,12 @@ psi_sum must agree with it bit for bit however its sieve segments fall.
 reference for the library's segmented one; the other references here draw
 their primes from it.  `DirichletSource` is a psi_sum source of a single
 twisted character.  `MemoisedRsSource` is `RsCoeffSource.coeff_at` the
-full-table way: a product table over every residue per exponent k, kept
-from its first use, where the library powers only the residues asked for.
+fiber-sum way: the [E:Q] + [F:Q] characters of both fibers, each valued at
+every residue by the scalar `primitive_exponent`
+(`fiber_residue_table_loop`), summed into a product table per exponent k,
+where the library reads one character of the pair, [E:Q][F:Q] chi_0
+conj(psi_0) on H.  The two agree to float rounding; off H the sums cancel
+to float residue.
 """
 
 import cmath
@@ -529,15 +532,19 @@ class DirichletSource:
 
 
 class MemoisedRsSource:
-    """a(p^k) from an `RsCoeffSource`'s fiber residue tables, with the
-    product table of each exponent k memoised on first use."""
+    """a(p^k) of an `RsCoeffSource`'s pair as the product of its two fiber
+    sums, from residue tables of every fiber character built afresh from
+    the pair set (`fiber_residue_table_loop`), with the product table of
+    each exponent k memoised on first use."""
 
     def __init__(self, source):
-        self._left = source._left
-        self._right = source._right
         self.modulus = source.modulus
         self.support = source.support
         self.tau0 = source.tau0
+        self._left, self._right = (
+            fiber_residue_table_loop(fiber, self.modulus)
+            for fiber in (source.pair_set.fiber_left,
+                          source.pair_set.fiber_right))
         self._products = {}
 
     def _product(self, k):
