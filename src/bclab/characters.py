@@ -539,14 +539,30 @@ def _join(group: UnitGroup, subgroup: frozenset[int], x: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _subgroup_generators(group: UnitGroup, elements: frozenset[int]) -> list[int]:
+def _span(group: UnitGroup, elements) -> tuple[list[int], frozenset[int]]:
+    """One pass over sorted(elements): each element not yet in the span of
+    the ones before it is a generator and joins the span.  Returns the
+    generators and the span, which equals the elements exactly when they
+    are a subgroup.  The elements must be units: `_join` never returns for
+    a non-unit."""
     gens: list[int] = []
     have = frozenset({1 % group.modulus})
     for h in sorted(elements):
         if h not in have:
             gens.append(h)
             have = _join(group, have, h)
-    return gens
+    return gens, have
+
+
+@lru_cache(maxsize=None)
+def _dual_exponents(group: UnitGroup) -> np.ndarray:
+    """The exponent vectors of the dual group, one row per character in
+    `_dual_cache` order, as a read-only int64 array."""
+    dual = _dual_cache(group)
+    rows = np.array([chi.exponents for chi in dual], dtype=np.int64)
+    rows = rows.reshape(len(dual), len(group.generators))
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -556,19 +572,37 @@ def _restriction_classes(group: UnitGroup, elements: frozenset[int]
 
     A character of H is fixed by its values on the generators, so the bucket
     key is the tuple of group exponents there, and each bucket is one
-    character of H.  Buckets, and the characters inside each, keep the dual
-    group's enumeration order.  Raises ValueError unless the residues in
-    [0, M) given are a subgroup.  Callers must not mutate the cached buckets.
+    character of H.  The generators come from one pass over sorted(H)
+    (`_span`), which also checks closure.  The keys of the whole dual group
+    are one integer product E W^T mod N: E holds the dual's exponent vectors
+    (`_dual_exponents`), and row j of W is the discrete log of generator j
+    with entry i scaled by N / o_i, so entry (chi, j) is
+    `chi.group_exponent(gens[j])`.  Buckets, and the characters inside each,
+    keep the dual group's enumeration order.  Raises ValueError unless the
+    residues in [0, M) given are a subgroup.  Callers must not mutate the
+    cached buckets.
     """
-    if closure(group, elements) != elements:
-        raise ValueError(
-            f"H is not closed under multiplication mod {group.modulus}")
-    gens = tuple(_subgroup_generators(group, elements))
+    m = group.modulus
+    for u in elements:
+        if not group.is_unit(u):
+            raise ValueError(f"{u} is not a unit modulo {m}")
+    gens, span = _span(group, elements)
+    if span != elements:
+        raise ValueError(f"H is not closed under multiplication mod {m}")
+    n = group.exponent
+    # Each weight is below N and each exponent below its order o_i <= N, so
+    # every entry of the product is below (number of generators) * N^2.
+    if len(group.generators) * n * n >= 2 ** 63:
+        raise OverflowError(f"restriction keys at level {n} do not fit in int64")
+    scale = [n // o for _, o in group.generators]
+    weights = np.array([[x * s for x, s in zip(group.dlog(h), scale)]
+                        for h in gens], dtype=np.int64)
+    weights = weights.reshape(len(gens), len(scale))
+    keys = (_dual_exponents(group) @ weights.T % n).tolist()
     classes: dict[tuple[int, ...], list[DirichletChar]] = {}
-    for chi in _dual_cache(group):
-        key = tuple(chi.group_exponent(h) for h in gens)
-        classes.setdefault(key, []).append(chi)
-    return gens, classes
+    for chi, key in zip(_dual_cache(group), keys):
+        classes.setdefault(tuple(key), []).append(chi)
+    return tuple(gens), classes
 
 
 class SubgroupChar:
@@ -703,7 +737,19 @@ def subgroup_characters(group: UnitGroup, elements) -> list[SubgroupChar]:
 
 
 def all_subgroups(group: UnitGroup) -> list[frozenset[int]]:
-    """Every subgroup of (Z/MZ)^x, found by joining one unit at a time."""
+    """Every subgroup of (Z/MZ)^x, climbing the lattice by prime-index steps.
+
+    From each subgroup H found, every unit u not yet covered is visited and
+    k, its order mod H, taken in one loop over its powers.  For composite k
+    the coset H*u is covered and skipped; for prime k the join <H, u> is the
+    union of the cosets H*u^i, i < k, and all of it is covered, since each
+    of its elements outside H has order k mod H and gives the same join.
+    The climb finds every subgroup: a subgroup K != 1 has a maximal subgroup
+    K' of prime index (K is abelian), and K = <K', x> for any x in K outside
+    K'.  No such x is covered by a composite coset of K' (its order mod K'
+    is prime), so the first join from K' to reach one of them is K itself.
+    Ordered by size, then by the sorted element tuple.
+    """
     m = group.modulus
     one = frozenset({1 % m})
     found = {one}
@@ -714,9 +760,16 @@ def all_subgroups(group: UnitGroup) -> list[frozenset[int]]:
         for u in group.units:
             if u in covered:
                 continue
-            # Every unit of the coset base*u joins base to the same group.
-            covered.update(h * u % m for h in base)
-            bigger = _join(group, base, u)
+            powers = [1 % m]
+            cur = u
+            while cur not in base:
+                powers.append(cur)
+                cur = cur * u % m
+            if not is_prime(len(powers)):
+                covered.update(h * u % m for h in base)
+                continue
+            bigger = frozenset(h * x % m for x in powers for h in base)
+            covered.update(bigger)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

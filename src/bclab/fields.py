@@ -123,9 +123,12 @@ def _splitting(field: AbelianField, p: int) -> SplittingData:
 def order_mod_subgroup(m: int, subgroup: frozenset[int], x: int) -> int:
     """Least k >= 1 with x^k in the subgroup H of (Z/mZ)^x: the order of x
     in the quotient by H, which for a prime x is its Frobenius order in
-    Gal(E/Q).  Raises ValueError unless x is coprime to m."""
+    Gal(E/Q).  Raises ValueError unless x is coprime to m and 1 mod m lies
+    in H."""
     if gcd(x, m) != 1:
         raise ValueError(f"{x} is not a unit mod {m}")
+    if 1 % m not in subgroup:
+        raise ValueError(f"the subgroup mod {m} does not contain 1")
     x %= m
     k = 1
     cur = x
@@ -154,9 +157,9 @@ def tower(field: AbelianField) -> list[AbelianField]:
     """Chain of proper subfields E > E_1 > ... > Q with prime-degree steps.
 
     Each step ascends the subgroup chain through the largest remaining prime
-    factor of the degree; among the index-q overgroups the one with the
-    lexicographically smallest element tuple is taken, so output is
-    deterministic.
+    factor q of the degree; among the index-q overgroups the one with the
+    lexicographically smallest sorted element tuple is taken, so output is
+    deterministic (`_tower_chain` finds it without listing the others).
     """
     return [AbelianField(field.ambient, step)
             for step in _tower_chain(field.ambient, field.subgroup)]
@@ -165,22 +168,24 @@ def tower(field: AbelianField) -> list[AbelianField]:
 def _tower_chain(group: UnitGroup, subgroup: frozenset[int]
                  ) -> list[frozenset[int]]:
     """The subgroups of `tower`'s chain above H, ending at the whole group,
-    with no field built per step."""
+    with no field built per step.
+
+    The least index-q overgroup of H is <H, x> for the least unit x outside
+    H with x^q in H.  Every element of an index-q overgroup C outside H has
+    order q mod H, so neither C nor <H, x> holds an element outside H below
+    x.  If C holds x, it holds <H, x> and, of the same size, equals it; if
+    not, the sorted tuples first differ where <H, x> has x and C a larger
+    element.
+    """
+    m = group.modulus
     chain: list[frozenset[int]] = []
     current = subgroup
     while len(current) < group.order:
-        index = group.order // len(current)
-        q = max(p for p, _ in factorize(index))
-        candidates: list[frozenset[int]] = []
-        for x in group.units:
-            # x in an index-q overgroup C of H joins H to C itself.
-            if x in current or any(x in c for c in candidates):
-                continue
-            if order_mod_subgroup(group.modulus, current, x) == q:
-                candidates.append(_join(group, current, x))
-        step = min(candidates, key=lambda s: tuple(sorted(s)))
-        chain.append(step)
-        current = step
+        q = max(p for p, _ in factorize(group.order // len(current)))
+        x = next(x for x in group.units
+                 if x not in current and pow(x, q, m) in current)
+        current = _join(group, current, x)
+        chain.append(current)
     return chain
 
 

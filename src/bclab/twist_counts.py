@@ -167,22 +167,23 @@ def _tower_frame(group: UnitGroup, subgroup: frozenset[int]
     FiberGroup, and the tower label of every element of A_E (the [E:Q]
     characters trivial on H) keyed by its exponent vector on the generators.
 
-    The coordinates follow the annihilator filtration of the field's tower;
-    at each step the basis character is chosen with prime-power order
-    matching the step, so the labeling is deterministic.  Each annihilator
-    is the all-zero restriction class of its subgroup, and each label is
-    solved step by step in the exponent-vector group.  The cache is keyed by
-    the presentation (M, H), not by the field: presentations of one field
-    at different moduli compare equal as fields but have different exponent
-    vectors.  Callers must not mutate the cached dict.
+    The coordinates follow the annihilator filtration ann_0 > ann_1 > ...
+    of the field's tower, ann_a the all-zero restriction class of the a-th
+    subgroup of the chain.  At each step the basis character is chosen with
+    prime-power order matching the step, so the labeling is deterministic,
+    and the labels are generated forward: sum_a t_a basis[a] gets the label
+    t.  That is the triangular solve's answer, since basis[b] lies in
+    ann_{a+1} for b > a and basis[a] has prime order `step` modulo
+    ann_{a+1}, so peeling off t_a basis[a] is the one way to land in
+    ann_{a+1}.  Raises ArithmeticError unless the generated keys are exactly
+    A_E's exponent vectors.  The cache is keyed by the presentation (M, H),
+    not by the field: presentations of one field at different moduli compare
+    equal as fields but have different exponent vectors.  Callers must not
+    mutate the cached dict.
     """
     from .fields import _tower_chain
 
     orders = [o for _, o in group.generators]
-
-    def combine(a, b, k=1):
-        return tuple((x + k * y) % o for x, y, o in zip(a, b, orders))
-
     chain = [subgroup] + _tower_chain(group, subgroup)
     degrees = [len(chain[a + 1]) // len(chain[a]) for a in range(len(chain) - 1)]
     ann_chars = []
@@ -190,35 +191,24 @@ def _tower_frame(group: UnitGroup, subgroup: frozenset[int]
         gens, classes = _restriction_classes(group, sub)
         ann_chars.append(classes[(0,) * len(gens)])
     ann_sets = [{chi.exponents for chi in chars} for chars in ann_chars]
-    basis = []
+    labels = {(0,) * len(orders): ()}
     for a, step in enumerate(degrees):
         cand = next(chi for chi in ann_chars[a]
                     if chi.exponents not in ann_sets[a + 1])
         rest = cand.order
         while rest % step == 0:
             rest //= step
-        basis.append(tuple(e * rest % o
-                           for e, o in zip(cand.exponents, orders)))
+        multiples = [tuple(e * rest * t % o
+                           for e, o in zip(cand.exponents, orders))
+                     for t in range(step)]
+        labels = {tuple((x + y) % o for x, y, o in zip(key, mult, orders)):
+                  label + (t,)
+                  for key, label in labels.items()
+                  for t, mult in enumerate(multiples)}
+    if labels.keys() != ann_sets[0]:
+        raise ArithmeticError("tower labels do not enumerate A_E")
     cond = conductor(group, subgroup.__contains__)
-    fg = fiber_group(degrees, label=f"fiber over field cond {cond}")
-
-    labels = {}
-    for chi in ann_chars[0]:
-        delta = chi.exponents
-        vec = []
-        for a, step in enumerate(degrees):
-            for t in range(step):
-                probe = combine(delta, basis[a], -t)
-                if probe in ann_sets[a + 1]:
-                    vec.append(t)
-                    delta = probe
-                    break
-            else:
-                raise ArithmeticError("triangular label solve failed")
-        if any(delta):
-            raise ArithmeticError("label residue did not terminate at 1")
-        labels[chi.exponents] = tuple(vec)
-    return fg, labels
+    return fiber_group(degrees, label=f"fiber over field cond {cond}"), labels
 
 
 def fiber_tower_labels(pi):

@@ -6,8 +6,12 @@ angles with the conductor found by a divisor search (a field's conductor
 too, `field_conductor_oracle`), closures by breadth-first multiplication,
 subgroup characters as plain angle maps checked pairwise on every product
 in H, extensions by scanning the whole dual group and comparing angles on
-every element of H, tower labels by structural keys.  The tests compare
-the library's kernels against them.
+every element of H, tower labels by structural keys.  The subgroup
+lattice grows by closures of one more unit (`all_subgroups_oracle`), each
+tower step takes the least of all index-q overgroups (`tower_oracle`), and
+restriction classes bucket the dual group one `group_exponent` at a time
+(`restriction_classes_oracle`).  The tests compare the library's kernels
+against them.
 
 The array kernel `DirichletChar.exponents_at` has its per-integer
 reference here too: `twist_absorption_per_prime` calls the scalar
@@ -325,6 +329,19 @@ def subgroup_generators_oracle(group, elements):
             gens.append(h)
             have = closure_bfs(group.modulus, gens)
     return gens
+
+
+def restriction_classes_oracle(group, elements):
+    """The dual group bucketed by its group exponents on H's generators
+    (`subgroup_generators_oracle`), one `group_exponent` call per character
+    and generator: (generators, [(key, characters)]) with the buckets, and
+    the characters inside each, in the dual group's order."""
+    gens = subgroup_generators_oracle(group, elements)
+    buckets = {}
+    for chi in dual_group(group):
+        key = tuple(chi.group_exponent(h) for h in gens)
+        buckets.setdefault(key, []).append(chi)
+    return tuple(gens), list(buckets.items())
 
 
 def subgroup_characters_oracle(group, elements):

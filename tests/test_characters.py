@@ -9,7 +9,8 @@ from bclab.characters import (
     DirichletChar,
     SubgroupChar,
     _local_group,
-    _subgroup_generators,
+    _restriction_classes,
+    _span,
     all_subgroups,
     closure,
     conductor,
@@ -22,7 +23,7 @@ from bclab.characters import (
     trivial_char,
     unit_group,
 )
-from bclab.fields import AbelianField
+from bclab.fields import AbelianField, fields_up_to_conductor
 from bclab.pnt import sieve_primes
 from oracles import (
     EagerUnitGroup,
@@ -34,6 +35,7 @@ from oracles import (
     is_subgroup_char_oracle,
     local_dlog_table_loop,
     restrict_char_oracle,
+    restriction_classes_oracle,
     subgroup_characters_oracle,
     subgroup_generators_oracle,
 )
@@ -476,14 +478,40 @@ def test_subgroup_char_properties_match_angle_maps():
 
 
 def test_subgroups_and_generators_match_closure_growth():
-    for m in range(1, 49):
+    # ranks up to 4: 2^4 * 3 * 5 = 240 and 2^3 * 3 * 7 = 168
+    for m in [*range(1, 73), 80, 96, 105, 120, 168, 240]:
         g = unit_group(m)
         subs = all_subgroups(g)
         assert subs == all_subgroups_oracle(g)
         for sub in subs:
-            gens = _subgroup_generators(g, sub)
+            gens, span = _span(g, sub)
             assert gens == subgroup_generators_oracle(g, sub)
+            assert span == sub
             assert closure(g, gens) == sub
+
+
+def test_restriction_classes_match_per_character_bucketing():
+    # every subgroup mod m <= 60, then the fields of conductor <= 24
+    # presented at twice their modulus; buckets and their order both count
+    cases = [(unit_group(m), sub) for m in range(1, 61)
+             for sub in all_subgroups(unit_group(m))]
+    for field in fields_up_to_conductor(24):
+        lifted = field.lift_to(unit_group(2 * field.modulus))
+        cases.append((lifted.ambient, lifted.subgroup))
+    for g, sub in cases:
+        gens, classes = _restriction_classes(g, sub)
+        assert (gens, list(classes.items())) == \
+            restriction_classes_oracle(g, sub)
+
+
+def test_restriction_classes_reject_non_units_and_open_sets():
+    g = unit_group(12)
+    with pytest.raises(ValueError, match="2 is not a unit modulo 12"):
+        _restriction_classes(g, frozenset({1, 2}))
+    with pytest.raises(ValueError, match="closed under multiplication"):
+        _restriction_classes(g, frozenset({1, 5, 7}))  # 5 * 7 = 11
+    with pytest.raises(ValueError, match="closed under multiplication"):
+        _restriction_classes(g, frozenset({5}))  # misses 1
 
 
 @settings(max_examples=60, deadline=None)

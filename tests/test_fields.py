@@ -118,6 +118,9 @@ def test_order_mod_subgroup_rejects_a_non_unit():
         order_mod_subgroup(5, frozenset({1, 4}), 5)
     with pytest.raises(ValueError, match="4 is not a unit mod 10"):
         order_mod_subgroup(10, frozenset({1, 9}), 4)
+    # no power of a unit lies in a set without 1: there is no order either
+    with pytest.raises(ValueError, match="does not contain 1"):
+        order_mod_subgroup(7, frozenset(), 3)
     assert order_mod_subgroup(5, frozenset({1, 4}), 3) == 2
     assert order_mod_subgroup(1, frozenset({0}), 7) == 1
 
@@ -201,6 +204,15 @@ def test_splitting_table_matches_splitting_data():
 def test_tower_matches_coset_order_oracle():
     for field in fields_up_to_conductor(60):
         assert [sub.subgroup for sub in tower(field)] == tower_oracle(field)
+
+
+def test_tower_of_lifted_presentations_matches_oracle():
+    # every field of conductor <= 24 presented at 2x and 3x its modulus
+    for field in fields_up_to_conductor(24):
+        for k in (2, 3):
+            lifted = field.lift_to(unit_group(k * field.modulus))
+            assert [sub.subgroup for sub in tower(lifted)] == \
+                tower_oracle(lifted)
 
 
 def test_splitting_table_runs():
