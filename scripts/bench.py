@@ -15,7 +15,9 @@ traced runs instead of the end-to-end ones.
 The output holds, per workload and metric, each side's per-run values (in
 pair order), median and quartiles (inclusive method), the number of pairs
 the change won (ties count for neither side), the median change in percent
-and the parent's quartile spread, plus failed and attempted operations and
+and the parent's quartile spread, and for each end-to-end metric a `verdict`
+(`gain`, `regression`, `unresolved` or `level`, see `verdict`) against its
+bound in BENCHMARK.json, plus failed and attempted operations and
 both git revisions (the change is HEAD, flagged when the working tree has
 uncommitted edits), the Python, numpy and CPU in use, and whether the child
 interpreters write bytecode: with PYTHONDONTWRITEBYTECODE set and no
@@ -77,17 +79,60 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def benchmark_spec() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
 def directions() -> dict[str, str]:
     """'lower' or 'higher' per metric name, from BENCHMARK.json."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
+    spec = benchmark_spec()
     return {m["name"]: m["better"]
             for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def summarize(results: dict[str, list[dict]], better: dict[str, str]
-              ) -> dict:
-    """Per-metric statistics of paired results, in pair order."""
+def bounds() -> dict[str, float]:
+    """The relative bound per end-to-end metric name, from BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in benchmark_spec()["end_to_end"]}
+
+
+def change_wins(parent: list[float], change: list[float], better: str
+                ) -> int:
+    """Pairs in which the change did better; ties count for neither side."""
+    sign = -1 if better == "higher" else 1
+    return sum(sign * c < sign * p for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """One end-to-end metric's paired runs, judged in this order:
+
+    - 'gain': the change won at least 9 of 10 pairs, and its median is
+      better than the parent's by more than the parent's quartile spread;
+    - 'regression': its median is worse than the parent's by more than
+      `bound` times the parent's median;
+    - 'unresolved': the parent's quartile spread exceeds `bound` times its
+      median, and not every change run beats every parent run;
+    - 'level': anything else.
+    """
+    sign = -1 if better == "higher" else 1
+    q1, base, q3 = quartiles(parent)
+    gap = sign * (base - quartiles(change)[1])  # > 0: the change is better
+    if (10 * change_wins(parent, change, better) >= 9 * len(parent)
+            and gap > q3 - q1):
+        return "gain"
+    if -gap > bound * abs(base):
+        return "regression"
+    if q3 - q1 > bound * abs(base) and not all(
+            sign * c < sign * p for c in change for p in parent):
+        return "unresolved"
+    return "level"
+
+
+def summarize(results: dict[str, list[dict]], better: dict[str, str],
+              bound: dict[str, float]) -> dict:
+    """Per-metric statistics of paired results, in pair order, with a
+    `verdict` on each metric that has a bound."""
     pairs = len(results["parent"])
     out = {"pairs": pairs,
            "failed": {s: sum(r["failed"] for r in results[s]) for s in SIDES},
@@ -97,11 +142,9 @@ def summarize(results: dict[str, list[dict]], better: dict[str, str]
     for name, first in results["parent"][0]["metrics"].items():
         runs = {s: [r["metrics"][name]["value"] for r in results[s]]
                 for s in SIDES}
-        sign = -1 if better.get(name, "lower") == "higher" else 1
-        wins = sum(sign * c < sign * p
-                   for p, c in zip(runs["parent"], runs["change"]))
-        entry = {"unit": first["unit"],
-                 "better": better.get(name, "lower")}
+        direction = better.get(name, "lower")
+        wins = change_wins(runs["parent"], runs["change"], direction)
+        entry = {"unit": first["unit"], "better": direction}
         for side in SIDES:
             q1, median, q3 = quartiles(runs[side])
             entry[side] = {"median": median, "q1": q1, "q3": q3,
@@ -112,6 +155,9 @@ def summarize(results: dict[str, list[dict]], better: dict[str, str]
             round(100 * (entry["change"]["median"] - base) / base, 2)
             if base else None)
         entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+        if name in bound:
+            entry["verdict"] = verdict(runs["parent"], runs["change"],
+                                       direction, bound[name])
         out["metrics"][name] = entry
     return out
 
@@ -158,7 +204,7 @@ def main(argv=None) -> int:
     revisions = {"parent": parent_rev, "change": git("rev-parse", "HEAD"),
                  "change_uncommitted": bool(git("status", "--porcelain",
                                                 "--untracked-files=no"))}
-    better = directions()
+    better, bound = directions(), bounds()
     key = f"seed_{args.seed}" + ("_traced" if args.trace else "")
     runs = record.setdefault("runs", {}).setdefault(key, {})
     with tempfile.TemporaryDirectory(prefix="bclab-parent-") as parent_root:
@@ -177,7 +223,7 @@ def main(argv=None) -> int:
                           f"failed {res['failed']}/{res['attempted']}"
                           + (f", wall_s {wall:.3f}" if wall is not None
                              else ""), file=sys.stderr, flush=True)
-            runs[workload] = dict(summarize(results, better),
+            runs[workload] = dict(summarize(results, better, bound),
                                   seconds=args.seconds, revisions=revisions)
             with open(args.out, "w") as fh:
                 json.dump(record, fh, indent=1)

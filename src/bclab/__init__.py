@@ -2,7 +2,7 @@
 fields, twisted-pair counting for the resulting convolutions, and sieve-backed
 prime number theorem experiments."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .characters import (
     DirichletChar,
@@ -18,9 +18,7 @@ from .fields import (
     AbelianField,
     SplittingData,
     compositum,
-    galois_product_check,
     make_field,
-    rationals,
     splitting_data,
     tower,
 )
@@ -30,8 +28,6 @@ from .automorphic import (
     automorphic_induction,
     base_change,
     bc_fiber,
-    cuspidal_over,
-    is_self_contragredient,
     local_coeffs_over_e,
     local_coeffs_over_q,
     trivial_over,

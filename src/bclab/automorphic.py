@@ -124,17 +124,6 @@ class IsobaricSum:
         return f"IsobaricSum(degree {self.degree})"
 
 
-def cuspidal_over(field: AbelianField, omega: SubgroupChar, tau: float = 0.0,
-                  rank: int = 1) -> GalHeckeChar:
-    """Build a cuspidal object over E.  Only rank 1 carries effective data."""
-    if rank != 1:
-        raise ValueError(
-            f"rank-{rank} cuspidal data over an extension has no effective "
-            "Satake parameters here; only rank 1 (characters) is constructible"
-        )
-    return GalHeckeChar(field, omega, float(tau))
-
-
 def trivial_over(field: AbelianField, tau: float = 0.0) -> GalHeckeChar:
     omega = restrict_char(trivial_char(field.modulus), field.subgroup)
     return GalHeckeChar(field, omega, float(tau))
@@ -274,8 +263,3 @@ def local_coeffs_over_q(sum_: IsobaricSum, p: int, k_max: int
             val += term
         out.append(LocalCoeff(n, val))
     return out
-
-
-def is_self_contragredient(chi: DirichletChar, tau: float = 0.0) -> bool:
-    """A twisted character equals its contragredient iff chi^2 = 1 and tau = 0."""
-    return chi.order <= 2 and abs(tau) <= TWIST_TOL

@@ -334,9 +334,6 @@ class DirichletChar:
             total += e * x * (n // o)
         return total % n
 
-    def group_angle(self, u: int) -> Fraction:
-        return Fraction(self.group_exponent(u), self.group.exponent)
-
     @property
     def modulus(self) -> int:
         return self.group.modulus
@@ -423,13 +420,6 @@ class DirichletChar:
         """Angle of chi(n) in [0,1), or None when the value is zero."""
         a = self.primitive_exponent(n)
         return None if a is None else _angle(a, self.primitive().group.exponent)
-
-    def eval_exponent(self, n: int) -> int | None:
-        """Exponent a with chi(n) = zeta_N^a (N the group exponent), or None."""
-        a = self.primitive_exponent(n)
-        if a is None:
-            return None
-        return a * (self.group.exponent // self.primitive().group.exponent)
 
     def value(self, n: int) -> complex:
         q = self.angle(n)

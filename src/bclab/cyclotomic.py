@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable
 
 
@@ -21,7 +20,14 @@ def normalize_angle(q: Fraction) -> Fraction:
     return q % 1
 
 
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0),
+                  complex(-1.0, 0.0), complex(0.0, -1.0))
+
+
 def angle_to_complex(q: Fraction) -> complex:
+    """exp(2*pi*i*q), exactly 1, i, -1 or -i when 4q is an integer."""
+    if 4 % q.denominator == 0:
+        return _QUARTER_TURNS[q.numerator * (4 // q.denominator) % 4]
     return cmath.exp(2j * cmath.pi * (q.numerator / q.denominator))
 
 
@@ -101,12 +107,6 @@ class RootContext:
             table.append(tuple(cur))
         self._powers = table
 
-    def exponent_of(self, angle: Fraction) -> int:
-        scale, off = divmod(self.level, angle.denominator)
-        if off:
-            raise _off_level(angle, self.level)
-        return angle.numerator * scale % self.level
-
     def vector(self, terms: Iterable[tuple[Fraction, int]]) -> tuple[int, ...]:
         level, powers = self.level, self._powers
         acc = [0] * self.degree
@@ -123,19 +123,3 @@ class RootContext:
 
     def zero(self) -> tuple[int, ...]:
         return tuple([0] * self.degree)
-
-
-def common_context(angles: Iterable[Fraction]) -> RootContext:
-    level = 1
-    for q in angles:
-        level = level * q.denominator // gcd(level, q.denominator)
-    return RootContext(level)
-
-
-def sums_equal(left: Iterable[tuple[Fraction, int]],
-               right: Iterable[tuple[Fraction, int]]) -> bool:
-    """Exact equality of two integer combinations of roots of unity."""
-    left = list(left)
-    right = list(right)
-    ctx = common_context([a for a, _ in left] + [a for a, _ in right])
-    return ctx.vector(left) == ctx.vector(right)

@@ -23,12 +23,16 @@ class AbelianField:
 
     def __init__(self, ambient: UnitGroup, subgroup: frozenset[int]):
         subgroup = frozenset(u % ambient.modulus for u in subgroup)
-        if closure(ambient, subgroup) != subgroup | {1 % ambient.modulus}:
+        subgroup |= {1 % ambient.modulus}
+        if closure(ambient, subgroup) != subgroup:
             raise ValueError("subgroup data is not closed under multiplication")
+        self._fill(ambient, subgroup)
+
+    def _fill(self, ambient: UnitGroup, subgroup: frozenset[int]) -> None:
         self.ambient = ambient
-        self.subgroup = subgroup | {1 % ambient.modulus}
-        self.degree = ambient.order // len(self.subgroup)
-        self.conductor = conductor(ambient, self.subgroup.__contains__)
+        self.subgroup = subgroup
+        self.degree = ambient.order // len(subgroup)
+        self.conductor = conductor(ambient, subgroup.__contains__)
         self._prim_subgroup = None
 
     @property
@@ -65,7 +69,7 @@ class AbelianField:
             )
         lifted = frozenset(u for u in target.units
                            if u % self.modulus in self.subgroup)
-        return AbelianField(target, lifted)
+        return _field(target, lifted)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,14 +88,18 @@ class SplittingData:
     ramified: bool
 
 
+def _field(ambient: UnitGroup, subgroup: frozenset[int]) -> AbelianField:
+    """The field of a subgroup the library built itself (reduced mod the
+    modulus, holding 1 and closed), unchecked."""
+    field = object.__new__(AbelianField)
+    field._fill(ambient, subgroup)
+    return field
+
+
 def make_field(modulus: int, gens) -> AbelianField:
     """Field with Galois group (Z/MZ)^x / <gens>."""
     group = unit_group(modulus)
-    return AbelianField(group, closure(group, gens))
-
-
-def rationals() -> AbelianField:
-    return make_field(1, [])
+    return _field(group, closure(group, gens))
 
 
 def splitting_data(field: AbelianField, p: int) -> SplittingData:
@@ -144,13 +152,7 @@ def compositum(e: AbelianField, f: AbelianField) -> AbelianField:
     g = unit_group(m)
     he = e.lift_to(g).subgroup
     hf = f.lift_to(g).subgroup
-    return AbelianField(g, he & hf)
-
-
-def galois_product_check(e: AbelianField, f: AbelianField) -> bool:
-    """True iff Gal(EF/Q) is the direct product of the two Galois groups,
-    equivalently [EF:Q] = [E:Q][F:Q], equivalently E and F intersect in Q."""
-    return compositum(e, f).degree == e.degree * f.degree
+    return _field(g, he & hf)
 
 
 def tower(field: AbelianField) -> list[AbelianField]:
@@ -161,7 +163,7 @@ def tower(field: AbelianField) -> list[AbelianField]:
     lexicographically smallest sorted element tuple is taken, so output is
     deterministic (`_tower_chain` finds it without listing the others).
     """
-    return [AbelianField(field.ambient, step)
+    return [_field(field.ambient, step)
             for step in _tower_chain(field.ambient, field.subgroup)]
 
 
@@ -189,16 +191,6 @@ def _tower_chain(group: UnitGroup, subgroup: frozenset[int]
     return chain
 
 
-def tower_step_degrees(field: AbelianField) -> list[int]:
-    """Prime degree of each tower step, largest first."""
-    degs = []
-    prev = field.degree
-    for sub in tower(field):
-        degs.append(prev // sub.degree)
-        prev = sub.degree
-    return degs
-
-
 def splitting_table(field: AbelianField, p_max: int) -> list[SplittingData]:
     return [_splitting(field, p) for p in sieve_primes(p_max).tolist()]
 
@@ -209,7 +201,7 @@ def fields_up_to_conductor(bound: int) -> list[AbelianField]:
     for m in range(1, bound + 1):
         group = unit_group(m)
         for sub in all_subgroups(group):
-            field = AbelianField(group, sub)
+            field = _field(group, sub)
             if field.conductor == m:
                 out.append(field)
     return out

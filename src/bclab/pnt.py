@@ -43,8 +43,8 @@ k'^2 / M', and the rule keeps them at most the odd layout's 1/2.
 Sieve segments are decoupled from report blocks.  A segment is a maximal
 run of consecutive report blocks spanning at most a layout's span
 (`_span`): as many integers as a 1.5 MB mask holds, SEGMENT = 3e6 in the
-odd layout, so the mask stays in a 4 MiB L2 cache, and for a wider layout
-at most as many as give each worker SEGMENTS_PER_WORKER segments.  A
+odd layout, so the mask fits a 2 MiB per-core L2 cache, and for a wider
+layout at most as many as give each worker SEGMENTS_PER_WORKER segments.  A
 segment is sieved once and its primes are split at the block edges, so
 each block sees exactly the primes it would get from sieving it alone, and
 the report does not depend on the span.

@@ -19,7 +19,7 @@ import numpy as np
 from .characters import DirichletChar, is_prime
 from .cyclotomic import angle_to_complex
 from .fields import AbelianField
-from .automorphic import GalHeckeChar, TWIST_TOL, bc_fiber
+from .automorphic import GalHeckeChar, bc_fiber
 from .pnt import prime_powers, residues_of
 
 
@@ -211,22 +211,3 @@ def twist_absorption_check(chi: DirichletChar, xi: DirichletChar,
     sa, sb, ta, tb = (level // v for v in levels)
     la, lb, ra, rb = (c.exponents_at(n).astype(dtype) for c in chars)
     return not np.any((la * sa - lb * sb - ra * ta + rb * tb) % level)
-
-
-def conjugation_swap_consistent(pi: GalHeckeChar, pi_prime: GalHeckeChar,
-                                limit: int = 500, tol: float = 1e-12) -> bool:
-    """Swapping the two members conjugates every coefficient and negates tau0."""
-    fwd = RsCoeffSource(pi, pi_prime)
-    bwd = RsCoeffSource(pi_prime, pi)
-    if fwd.multiplicity != bwd.multiplicity:
-        return False
-    if fwd.multiplicity and abs(fwd.tau0 + bwd.tau0) > TWIST_TOL:
-        return False
-    ps, ks, _ = prime_powers(limit, fwd.modulus)
-    ps = ps[ks == 1]
-    if not ps.size:
-        raise ValueError(f"no unramified prime up to limit {limit}")
-    for k in (1, 2, 3):
-        if np.max(np.abs(fwd.coeff_at(ps, k) - np.conj(bwd.coeff_at(ps, k)))) > tol:
-            return False
-    return True

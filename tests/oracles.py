@@ -344,13 +344,18 @@ def restriction_classes_oracle(group, elements):
     return tuple(gens), list(buckets.items())
 
 
+def _group_angle(chi, u):
+    """chi(u) as an angle in [0, 1), for a unit u of chi's own modulus."""
+    return Fraction(chi.group_exponent(u), chi.group.exponent)
+
+
 def subgroup_characters_oracle(group, elements):
     """Restrictions of the whole dual group as angle maps {u: angle} on H,
     first occurrence kept."""
     sub = closure_bfs(group.modulus, elements)
     seen = {}
     for chi in dual_group(group):
-        angles = {u: chi.group_angle(u) for u in sub}
+        angles = {u: _group_angle(chi, u) for u in sub}
         seen.setdefault(tuple(sorted(angles.items())), angles)
     return list(seen.values())
 
@@ -383,7 +388,7 @@ def restrict_char_oracle(chi, elements):
 def extensions_oracle(omega, group):
     """Every character of the group agreeing with omega on all of H."""
     return [chi for chi in dual_group(group)
-            if all(chi.group_angle(u) == omega.angle(u)
+            if all(_group_angle(chi, u) == omega.angle(u)
                    for u in omega.elements)]
 
 
@@ -427,7 +432,7 @@ def fiber_tower_labels_oracle(pi, fiber):
     chain = [field.subgroup] + tower_oracle(field)
     degrees = [len(chain[a + 1]) // len(chain[a]) for a in range(len(chain) - 1)]
     ann_chars = [[chi for chi in dual_group(group)
-                  if all(chi.group_angle(h) == 0 for h in sub)]
+                  if all(chi.group_exponent(h) == 0 for h in sub)]
                  for sub in chain]
     ann_keys = [{chi.key for chi in chars} for chars in ann_chars]
     basis = []

@@ -129,7 +129,7 @@ def test_unit_group_structure(m):
 def test_quadratic_char_value_at_nonresidue():
     chi = theta() * theta()
     # squares mod 5 are {1, 4}, so chi(2) = -1, carried as exponent N/2
-    assert chi.eval_exponent(2) == unit_group(5).exponent // 2
+    assert chi.group_exponent(2) == unit_group(5).exponent // 2
     assert chi.angle(2) == Fraction(1, 2)
     assert chi.angle(4) == 0
 
@@ -137,7 +137,8 @@ def test_quadratic_char_value_at_nonresidue():
 def test_trivial_char_mod_1():
     one = trivial_char(1)
     for n in (-3, 0, 1, 7, 100):
-        assert one.eval_exponent(n) == 0
+        assert one.primitive_exponent(n) == 0
+        assert one.angle(n) == 0
 
 
 def test_quartic_square_value():
@@ -234,7 +235,8 @@ def test_primitive_evaluation_matches_coprime_lifts():
                 lift = n % f
                 while gcd(lift, m) != 1:
                     lift += f
-                assert chi.angle(n) == chi.group_angle(lift)
+                assert chi.angle(n) == Fraction(chi.group_exponent(lift),
+                                                g.exponent)
 
 
 def test_conductor_minimality():
@@ -249,7 +251,7 @@ def test_conductor_minimality():
                 if d >= f:
                     continue
                 witnesses = [u for u in g.units
-                             if u % d == 1 % d and chi.group_angle(u) != 0]
+                             if u % d == 1 % d and chi.group_exponent(u) != 0]
                 assert witnesses, (m, chi.exponents, f, d)
 
 
@@ -593,7 +595,10 @@ def _agrees_with_fraction_oracle(chi, oracle):
     for n in range(chi.modulus):
         q = oracle.angle(n)
         assert chi.angle(n) == q
-        assert chi.eval_exponent(n) == (None if q is None else q * level)
+        assert chi.primitive_exponent(n) == (
+            None if q is None else q * prim.group.exponent)
+        if gcd(n, chi.modulus) == 1:
+            assert Fraction(chi.group_exponent(n), level) == q
 
 
 def test_characters_match_fraction_oracle():

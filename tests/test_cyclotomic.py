@@ -10,7 +10,6 @@ from bclab.cyclotomic import (
     cyclotomic_polynomial,
     divisors,
     normalize_angle,
-    sums_equal,
 )
 
 
@@ -51,20 +50,28 @@ def test_vanishing_full_orbit_sum():
     terms = [(Fraction(0), 1), (Fraction(1, 3), 1), (Fraction(2, 3), 1)]
     ctx = RootContext(3)
     assert ctx.vector(terms) == ctx.zero()
-    assert sums_equal(terms, [])
+    assert ctx.vector(terms) == ctx.vector([])
 
 
 def test_scaled_root_vs_sum():
     # 2 * zeta_4 equals zeta_4 + zeta_4
-    assert sums_equal([(Fraction(1, 4), 2)],
-                      [(Fraction(1, 4), 1), (Fraction(1, 4), 1)])
-    assert not sums_equal([(Fraction(1, 4), 2)], [(Fraction(1, 4), 1)])
+    ctx = RootContext(4)
+    assert ctx.vector([(Fraction(1, 4), 2)]) == \
+        ctx.vector([(Fraction(1, 4), 1), (Fraction(1, 4), 1)])
+    assert ctx.vector([(Fraction(1, 4), 2)]) != \
+        ctx.vector([(Fraction(1, 4), 1)])
 
 
 def test_cross_level_equality():
-    # zeta_6^3 = -1 = zeta_2
-    assert sums_equal([(Fraction(3, 6), 1)], [(Fraction(1, 2), 1)])
-    assert not sums_equal([(Fraction(1, 6), 1)], [(Fraction(1, 3), 1)])
+    # zeta_6^3 = -1 = zeta_2, compared at the common level 6
+    ctx = RootContext(6)
+    assert ctx.vector([(Fraction(3, 6), 1)]) == \
+        ctx.vector([(Fraction(1, 2), 1)])
+    assert ctx.vector([(Fraction(1, 6), 1)]) != \
+        ctx.vector([(Fraction(1, 3), 1)])
+    with pytest.raises(ValueError, match="angle 1/6 does not live at "
+                                         "cyclotomic level 3"):
+        RootContext(3).vector([(Fraction(1, 6), 1)])
 
 
 @settings(max_examples=200)
@@ -88,13 +95,29 @@ def test_context_rejects_foreign_angle():
         ctx.vector([(Fraction(1, 3), 1)])
 
 
-def test_exponent_of_reduces_any_representative():
+def test_vector_reduces_any_representative():
     ctx = RootContext(12)
+    roots = [ctx.vector([(Fraction(a, 12), 1)]) for a in range(12)]
+    assert len(set(roots)) == 12
     for num in range(-30, 31):
         for den in (1, 2, 3, 4, 6, 12):
             q = Fraction(num, den)
-            assert ctx.exponent_of(q) == (q % 1) * 12
-    assert ctx.exponent_of(0) == 0
+            assert ctx.vector([(q, 1)]) == roots[int(q % 1 * 12)]
+    assert ctx.vector([(0, 1)]) == roots[0]
     with pytest.raises(ValueError, match="angle 3/5 does not live at "
                                          "cyclotomic level 12"):
-        ctx.exponent_of(Fraction(-2, 5))
+        ctx.vector([(Fraction(-2, 5), 1)])
+
+
+def test_quarter_turns_are_exact():
+    # 1, i, -1, -i with exact zero parts, from any representative
+    want = [complex(1.0, 0.0), complex(0.0, 1.0),
+            complex(-1.0, 0.0), complex(0.0, -1.0)]
+    for num in range(-8, 9):
+        for den in (1, 2, 4):
+            z = angle_to_complex(Fraction(num, den))
+            w = want[num * (4 // den) % 4]
+            assert (z.real, z.imag) == (w.real, w.imag)
+            # same signs of zero too, so no -0.0 reaches a report
+            assert str(z) == str(w)
+    assert angle_to_complex(Fraction(1, 8)) == cmath.exp(2j * cmath.pi / 8)

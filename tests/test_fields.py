@@ -3,16 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from bclab.characters import factorize, is_prime, unit_group
 from bclab.fields import (
+    AbelianField,
     compositum,
     fields_up_to_conductor,
-    galois_product_check,
     make_field,
     order_mod_subgroup,
-    rationals,
     splitting_data,
     splitting_table,
     tower,
-    tower_step_degrees,
 )
 from oracles import tower_oracle
 
@@ -130,31 +128,38 @@ def test_compositum_of_coprime_quadratics():
     f = make_field(4, [])
     ef = compositum(e, f)
     assert ef.degree == 4
-    assert galois_product_check(e, f)
+    assert ef.degree == e.degree * f.degree
 
 
 def test_compositum_with_self():
     e = make_field(5, [4])
     assert compositum(e, e) == e
-    assert not galois_product_check(e, e)
-    assert galois_product_check(rationals(), rationals())
+    assert compositum(e, e).degree != e.degree * e.degree
+    q = make_field(1, [])
+    assert compositum(q, q).degree == q.degree * q.degree
 
 
 def test_compositum_coprime_conductors():
     e = make_field(5, [])
     f = make_field(7, [6])
     assert compositum(e, f).degree == 12
-    assert galois_product_check(e, f)
+    assert compositum(e, f).degree == e.degree * f.degree
+
+
+def step_degrees(field):
+    """Prime degree of each step of `tower(field)`, largest first."""
+    degrees = [field.degree] + [sub.degree for sub in tower(field)]
+    return [big // small for big, small in zip(degrees, degrees[1:])]
 
 
 def test_tower_of_quintic_cyclotomic():
     chain = tower(make_field(5, []))
     assert [(f.degree, f.conductor) for f in chain] == [(2, 5), (1, 1)]
-    assert tower_step_degrees(make_field(5, [])) == [2, 2]
+    assert step_degrees(make_field(5, [])) == [2, 2]
 
 
 def test_tower_of_rationals_is_empty():
-    assert tower(rationals()) == []
+    assert tower(make_field(1, [])) == []
 
 
 def test_tower_of_cubic_is_single_step():
@@ -163,8 +168,8 @@ def test_tower_of_cubic_is_single_step():
 
 
 def test_tower_takes_largest_prime_first():
-    assert tower_step_degrees(make_field(7, [])) == [3, 2]
-    assert tower_step_degrees(make_field(13, [])) == [3, 2, 2]
+    assert step_degrees(make_field(7, [])) == [3, 2]
+    assert step_degrees(make_field(13, [])) == [3, 2, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,7 +179,7 @@ def test_tower_invariants(m, data):
     gens = data.draw(st.lists(st.sampled_from(sorted(g.units)), max_size=3))
     field = make_field(m, gens)
     chain = tower(field)
-    degrees = tower_step_degrees(field)
+    degrees = step_degrees(field)
     assert all(is_prime(q) for q in degrees)
     total_steps = sum(e for _, e in factorize(field.degree)) \
         if field.degree > 1 else 0
@@ -213,6 +218,35 @@ def test_tower_of_lifted_presentations_matches_oracle():
             lifted = field.lift_to(unit_group(k * field.modulus))
             assert [sub.subgroup for sub in tower(lifted)] == \
                 tower_oracle(lifted)
+
+
+def same_as_checked(field):
+    checked = AbelianField(field.ambient, field.subgroup)
+    return ((field.key, field.degree, field.conductor, field.subgroup)
+            == (checked.key, checked.degree, checked.conductor,
+                checked.subgroup))
+
+
+def test_library_built_fields_match_the_checked_constructor():
+    # fields_up_to_conductor, tower, lift_to, compositum and make_field
+    # skip the closure check on subgroups they built themselves
+    fields = fields_up_to_conductor(60)
+    for field in fields:
+        assert same_as_checked(field)
+        assert all(same_as_checked(sub) for sub in tower(field))
+        assert same_as_checked(field.lift_to(unit_group(2 * field.modulus)))
+        gens = [u for u in sorted(field.subgroup) if u != 1][:2]
+        assert same_as_checked(make_field(field.modulus, gens))
+    for e, f in zip(fields, fields[7::7]):
+        assert same_as_checked(compositum(e, f))
+
+
+def test_public_constructor_rejects_a_non_subgroup():
+    g = unit_group(12)
+    with pytest.raises(ValueError, match="closed under multiplication"):
+        AbelianField(g, frozenset({1, 5, 7}))  # 5 * 7 = 11
+    with pytest.raises(ValueError, match="2 is not a unit modulo 12"):
+        AbelianField(g, frozenset({1, 2}))
 
 
 def test_splitting_table_runs():

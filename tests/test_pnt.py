@@ -716,7 +716,8 @@ def test_support_prime_two_enters_the_sum():
 # [E:Q][F:Q] chi_0 conj(psi_0) on H: only their imaginary parts moved, the
 # float residue of the cancelled fiber sums (|d|/x <= 4.8e-20 for thm11,
 # now exactly 0, and <= 2.45e-16 for empty_t); dihedral and twist kept
-# their bits.
+# their bits.  empty_t's imaginary parts were re-frozen to exactly 0 when
+# its xi = -1 classes became an exact -1 (`angle_to_complex`).
 CONFIG_BITS = {
     "thm11": [("0x1.3dda87bc5fc68p+13", "0x0.0p+0"),
               ("0x1.3dda87bc5fc68p+13", "0x0.0p+0"),
@@ -728,11 +729,11 @@ CONFIG_BITS = {
                  ("0x1.86af1375875f8p+17", "0x0.0p+0"),
                  ("0x1.e247aa6af0abfp+17", "0x0.0p+0"),
                  ("0x1.8652b673170b3p+18", "0x0.0p+0")],
-    "empty_t": [("0x1.224cefed0437ep+6", "0x1.58f405d65e20ap-40"),
-                ("0x1.224cefed0437ep+6", "0x1.58f405d65e20ap-40"),
-                ("-0x1.60820f8a15e6ap+7", "0x1.af543785b0260p-37"),
-                ("0x1.5da319fe15338p+8", "0x1.099dbb01273cep-36"),
-                ("-0x1.36003c4036a5cp+8", "0x1.aee29cbb6111fp-36")],
+    "empty_t": [("0x1.224cefed0437ep+6", "0x0.0p+0"),
+                ("0x1.224cefed0437ep+6", "0x0.0p+0"),
+                ("-0x1.60820f8a15e6ap+7", "0x0.0p+0"),
+                ("0x1.5da319fe15338p+8", "0x0.0p+0"),
+                ("-0x1.36003c4036a5cp+8", "0x0.0p+0")],
     "twist": [("-0x1.2e51d73df6662p+12", "-0x1.e415661fc4936p+12"),
               ("-0x1.2e51d73df6662p+12", "-0x1.e415661fc4936p+12"),
               ("0x1.7f90388fe10a0p+15", "-0x1.240d8ec9edf81p+16"),
@@ -829,14 +830,15 @@ def test_psi_sum_rejects_a_support_of_non_units(monkeypatch, support):
 
 
 # psi bits of full-support sources, frozen from the sieve before class
-# layouts: at 3e5 with checkpoints 12345 and 100002, 2 workers
+# layouts: at 3e5 with checkpoints 12345 and 100002, 2 workers; mod7_twisted
+# re-frozen once chi(r) = -1 became an exact -1 (`angle_to_complex`)
 FULL_SUPPORT_BITS = {
     "trivial": [("0x1.80f2566bde708p+13", "0x0.0p+0"),
                 ("0x1.86d39063fc4b0p+16", "0x0.0p+0"),
                 ("0x1.24a2fc57b2ec8p+18", "0x0.0p+0")],
-    "mod7_twisted": [("-0x1.3a030fdd29996p+5", "0x1.b23af969a41b2p+5"),
-                     ("-0x1.061808bb2a580p+7", "0x1.c0986bdee0ea0p+6"),
-                     ("0x1.d6bdbaf92ddd0p+2", "0x1.50425e246cecfp+8")],
+    "mod7_twisted": [("-0x1.3a030fdd29977p+5", "0x1.b23af969a41c6p+5"),
+                     ("-0x1.061808bb2a563p+7", "0x1.c0986bdee0f1ep+6"),
+                     ("0x1.d6bdbaf92e158p+2", "0x1.50425e246cf2fp+8")],
 }
 
 

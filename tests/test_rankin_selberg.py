@@ -20,12 +20,12 @@ from bclab.characters import (
 from bclab.config import parse_config
 from bclab.cyclotomic import RootContext
 from bclab.fields import compositum, fields_up_to_conductor, make_field
-from bclab.automorphic import GalHeckeChar, base_change, bc_fiber, trivial_over
+from bclab.automorphic import (TWIST_TOL, GalHeckeChar, base_change, bc_fiber,
+                               trivial_over)
 from bclab import pnt
 from bclab.pnt import PrimePowerStream, prime_powers, psi_sum, sieve_primes
 from bclab.rankin_selberg import (
     RsCoeffSource,
-    conjugation_swap_consistent,
     pole_multiplicity,
     pair_modulus,
     thm1_1_applies,
@@ -160,20 +160,35 @@ def test_coefficient_bound_l_times_lprime():
         assert abs(v) <= bound + 1e-9
 
 
+def assert_conjugation_swap(pi, pi_prime, limit=500, tol=1e-12):
+    """Swapping the two members conjugates a(p^k), k = 1..3, at every
+    unramified prime up to the limit, and negates tau0."""
+    fwd, bwd = RsCoeffSource(pi, pi_prime), RsCoeffSource(pi_prime, pi)
+    assert fwd.multiplicity == bwd.multiplicity
+    if fwd.multiplicity:
+        assert abs(fwd.tau0 + bwd.tau0) <= TWIST_TOL
+    ps, ks, _ = prime_powers(limit, fwd.modulus)
+    ps = ps[ks == 1]
+    assert ps.size
+    for k in (1, 2, 3):
+        assert np.max(np.abs(fwd.coeff_at(ps, k)
+                             - np.conj(bwd.coeff_at(ps, k)))) <= tol
+
+
 def test_conjugation_symmetry():
     pi = base_change(theta(), sqrt5(), tau=0.3)
     pi_prime = trivial_over(gaussian(), tau=0.1)
-    assert conjugation_swap_consistent(pi, pi_prime)
-
-
-@pytest.mark.parametrize("limit", [1, 2])
-def test_conjugation_swap_rejects_limit_without_unramified_prime(limit):
-    # Q(sqrt 5) against Q(i): pair modulus 20, so 2 is ramified
+    assert_conjugation_swap(pi, pi_prime)
+    # Q(sqrt 5) against Q(i): pair modulus 20, so 3 is the first
+    # unramified prime
     cfg = parse_config(THM11.read_text())
-    pi, pi_prime = cfg.pi(), cfg.pi_prime()
-    with pytest.raises(ValueError, match=f"limit {limit}"):
-        conjugation_swap_consistent(pi, pi_prime, limit=limit)
-    assert conjugation_swap_consistent(pi, pi_prime, limit=3)
+    assert_conjugation_swap(cfg.pi(), cfg.pi_prime(), limit=3)
+
+
+def test_conjugation_symmetry_on_seeded_pairs():
+    # the four configs, then 24 bound-60 pairs, every other one twisted
+    for pi, pi_prime in support_pairs(24, seed=53):
+        assert_conjugation_swap(pi, pi_prime)
 
 
 CALL_ORDERS = [(1, 2, 3, 4, 1), (4, 2, 1, 3, 4)]
@@ -508,3 +523,25 @@ def test_psi_sum_bits_over_paths_and_workers_on_seeded_pairs(monkeypatch):
                               workers=workers).psi
                 assert [(z.real.hex(), z.imag.hex()) for z in got] == \
                     [(z.real.hex(), z.imag.hex()) for z in want]
+
+
+def test_real_pairs_of_the_pnt_batch_population_have_real_psi(monkeypatch):
+    # every untwisted pair that pnt_batch traces for seed 1 (its four
+    # configs, then its drawn pairs) whose xi is real on H, 2e = 0 mod N
+    # on the support, sums exact values +-[E:Q][F:Q] into psi, so every
+    # imaginary part is exactly 0
+    monkeypatch.syspath_prepend(str(THM11.parent.parent / "perfbench"))
+    import workloads
+    monkeypatch.setattr(workloads, "_pnt_expected", lambda items, x: items)
+    _, items = workloads.draw_pnt_batch(1, str(THM11.parent.parent))
+    real = 0
+    for pi, pi_prime, _, _ in items:
+        src = RsCoeffSource(pi, pi_prime)
+        xi = src.pair_set.fiber_left[0][0] * \
+            src.pair_set.fiber_right[0][0].conjugate()
+        level = xi.primitive().group.exponent
+        if src.tau0 or np.any(2 * src.exponents[list(src.support)] % level):
+            continue
+        real += 1
+        assert all(z.imag == 0.0 for z in psi_sum(src, 10**6).psi)
+    assert real >= 4

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -49,3 +51,68 @@ def test_scripts_run_on_small_inputs(tmp_path):
         "--limit", "2e8", "--workers", "2"))
     assert forked["children_user_s"] > 0
     assert forked["children_minor_faults"] > 0
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    import bench
+    return bench
+
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+def test_bench_verdict_gain_needs_nine_of_ten_pairs(bench):
+    assert bench.verdict(PARENT, [0.8 * p for p in PARENT], "lower",
+                         0.25) == "gain"
+    # a 13% better median from 8 wins in 10 pairs is no gain
+    change = [0.87 * p for p in PARENT[:8]] + [1.05, 1.05]
+    assert bench.change_wins(PARENT, change, "lower") == 8
+    assert bench.quartiles(change)[1] < 0.88 * bench.quartiles(PARENT)[1]
+    assert bench.verdict(PARENT, change, "lower", 0.25) == "level"
+    # ties count for neither side
+    tied = [0.8 * p for p in PARENT[:9]] + [PARENT[9]]
+    assert bench.verdict(PARENT, tied, "lower", 0.25) == "gain"
+    tied[8] = PARENT[8]
+    assert bench.verdict(PARENT, tied, "lower", 0.25) == "level"
+    # 9 of 10 wins, but the medians differ by less than the parent's IQR
+    near = [p - 0.001 for p in PARENT[:9]] + [1.5]
+    assert bench.verdict(PARENT, near, "lower", 0.25) == "level"
+
+
+def test_bench_verdict_regression_is_past_the_bound(bench):
+    assert bench.verdict(PARENT, [1.3 * p for p in PARENT], "lower",
+                         0.25) == "regression"
+    assert bench.verdict(PARENT, [1.2 * p for p in PARENT], "lower",
+                         0.25) == "level"
+    # for a higher-is-better metric a lower median is the regression
+    assert bench.verdict(PARENT, [0.7 * p for p in PARENT], "higher",
+                         0.25) == "regression"
+    assert bench.verdict(PARENT, [1.3 * p for p in PARENT], "higher",
+                         0.25) == "gain"
+
+
+def test_bench_verdict_unresolved_when_the_parent_spreads_past_the_bound(
+        bench):
+    wide = [0.5, 1.5, 0.6, 1.4, 1.0, 0.7, 1.3, 0.8, 1.2, 0.9]
+    assert bench.verdict(wide, wide[::-1], "lower", 0.25) == "unresolved"
+    # every change run beats every parent run: resolved, if no gain
+    skewed = [0.9] * 3 + [1.0] * 4 + [3.0] * 3
+    assert bench.verdict(skewed, [0.85] * 10, "lower", 0.25) == "level"
+    assert bench.verdict(skewed, [0.95] * 10, "lower", 0.25) == "unresolved"
+
+
+def test_bench_summarize_judges_the_bounded_metrics(bench):
+    def run(wall, blocks):
+        return {"failed": 0, "attempted": 1,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "pnt.blocks": {"value": blocks,
+                                           "unit": "count"}}}
+
+    results = {"parent": [run(p, 7) for p in PARENT],
+               "change": [run(1.3 * p, 7) for p in PARENT]}
+    out = bench.summarize(results, bench.directions(), bench.bounds())
+    assert out["metrics"]["wall_s"]["verdict"] == "regression"
+    assert "verdict" not in out["metrics"]["pnt.blocks"]
+    assert bench.bounds()["wall_s"] == 0.25
