@@ -107,7 +107,7 @@ def verdict(parent: list[float], change: list[float], better: str,
             bound: float) -> str:
     """One end-to-end metric's paired runs, judged in this order:
 
-    - 'gain': the change won at least 9 of 10 pairs, and its median is
+    - 'gain': the change won at least 9/10 of the pairs, and its median is
       better than the parent's by more than the parent's quartile spread;
     - 'regression': its median is worse than the parent's by more than
       `bound` times the parent's median;
