@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Sweep all character pairs over fields up to a conductor bound, histogram
 the twisted-pair counts, and cross-check each nonempty count against the
-tower-coordinate subgroup computation."""
+tower-coordinate subgroup computation and the pole count of the pair's
+coefficient source (orthogonality of one character on H_E cap H_F).
+
+    python scripts/sweep_twisted_pairs.py --bound 30 [--cross-check-all]
+"""
 
 import argparse
 import time
@@ -11,7 +15,7 @@ from itertools import combinations_with_replacement
 from bclab.characters import extensions, subgroup_characters
 from bclab.fields import fields_up_to_conductor
 from bclab.automorphic import GalHeckeChar
-from bclab.rankin_selberg import twisted_pairs
+from bclab.rankin_selberg import RsCoeffSource, twisted_pairs
 from bclab.twist_counts import cross_check_pair_count
 
 
@@ -44,11 +48,12 @@ def main():
             pi, pi_prime = GalHeckeChar(ea, oa), GalHeckeChar(eb, ob)
             structural, symbolic = cross_check_pair_count(
                 pi, pi_prime, twisted_pairs(pi, pi_prime))
+            poles = RsCoeffSource(pi, pi_prime).multiplicity
             checked += 1
-            if structural != symbolic or structural != size:
+            if not size == structural == symbolic == poles:
                 mismatches += 1
-                print(f"  MISMATCH: {ea} x {eb}: "
-                      f"{size} vs ({structural}, {symbolic})")
+                print(f"  MISMATCH: {ea} x {eb}: {size} vs "
+                      f"({structural}, {symbolic}, {poles})")
 
     print(f"pair-count histogram: {dict(sorted(histogram.items()))}")
     print(f"{checked} pairs cross-checked, {mismatches} mismatches "

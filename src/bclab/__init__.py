@@ -8,7 +8,6 @@ from .characters import (
     DirichletChar,
     SubgroupChar,
     UnitGroup,
-    dual_group,
     extensions,
     restrict_char,
     trivial_char,
@@ -19,7 +18,6 @@ from .fields import (
     SplittingData,
     compositum,
     make_field,
-    splitting_data,
     tower,
 )
 from .automorphic import (
@@ -35,7 +33,6 @@ from .automorphic import (
 from .rankin_selberg import (
     RsCoeffSource,
     TwistedPairSet,
-    pole_multiplicity,
     thm1_1_applies,
     thm1_2_applies,
     twist_absorption_check,

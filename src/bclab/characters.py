@@ -454,10 +454,6 @@ class DirichletChar:
                   for e, (_, o) in zip(self.exponents, self.group.generators)]
         return lcm(*orders) if orders else 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     # -- structural identity ----------------------------------------------------
     @property
     def key(self) -> tuple:
@@ -490,13 +486,9 @@ def trivial_char(modulus: int = 1) -> DirichletChar:
 
 @lru_cache(maxsize=None)
 def _dual_cache(group: UnitGroup) -> tuple[DirichletChar, ...]:
+    """All phi(M) characters of (Z/MZ)^x, in a fixed enumeration order."""
     ranges = [range(o) for _, o in group.generators]
     return tuple(DirichletChar(group, vec) for vec in iter_product(*ranges))
-
-
-def dual_group(group: UnitGroup) -> list[DirichletChar]:
-    """All phi(M) characters of (Z/MZ)^x, in a fixed enumeration order."""
-    return list(_dual_cache(group))
 
 
 def closure(group: UnitGroup, elements) -> frozenset[int]:
@@ -506,11 +498,7 @@ def closure(group: UnitGroup, elements) -> frozenset[int]:
     for u in elements:
         if not group.is_unit(u):
             raise ValueError(f"{u} is not a unit modulo {m}")
-    sub = frozenset({1 % m})
-    for u in elements:
-        if u % m not in sub:
-            sub = _join(group, sub, u % m)
-    return sub
+    return _span(group, {u % m for u in elements})[1]
 
 
 def _join(group: UnitGroup, subgroup: frozenset[int], x: int) -> frozenset[int]:
@@ -637,10 +625,6 @@ class SubgroupChar:
     def order(self) -> int:
         n = self.group.exponent
         return lcm(*[n // gcd(n, a) for a in self.exponents])
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.exponents)
 
     def value_exponent(self, u: int) -> tuple[int, int]:
         """(a, N) with omega(u) = zeta_N^a, N the group exponent of the

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .characters import (UnitGroup, _join, all_subgroups, closure, conductor,
-                         factorize, is_prime, unit_group)
+                         factorize, unit_group)
 from .pnt import sieve_primes
 
 
@@ -100,13 +100,6 @@ def make_field(modulus: int, gens) -> AbelianField:
     """Field with Galois group (Z/MZ)^x / <gens>."""
     group = unit_group(modulus)
     return _field(group, closure(group, gens))
-
-
-def splitting_data(field: AbelianField, p: int) -> SplittingData:
-    """Residue degree and prime count of p in E, from congruence data."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _splitting(field, p)
 
 
 def _splitting(field: AbelianField, p: int) -> SplittingData:

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .characters import DirichletChar, is_prime
+from .characters import DirichletChar, euler_phi, extensions, is_prime
 from .cyclotomic import angle_to_complex
 from .fields import AbelianField
 from .automorphic import GalHeckeChar, bc_fiber
@@ -70,14 +70,6 @@ def twisted_pairs(pi: GalHeckeChar, pi_prime: GalHeckeChar) -> TwistedPairSet:
     return TwistedPairSet(tuple(pairs), tau0, tuple(left), tuple(right))
 
 
-def pole_multiplicity(pi: GalHeckeChar, pi_prime: GalHeckeChar
-                      ) -> tuple[int, float | None]:
-    """(m, tau0): the convolution has a pole of order m at s = 1 + i*tau0,
-    and is pole-free on Re(s) = 1 when m = 0."""
-    t = twisted_pairs(pi, pi_prime)
-    return t.size, t.tau0
-
-
 def thm1_1_applies(e: AbelianField, f: AbelianField) -> bool:
     """Both fields of the same prime degree and distinct."""
     return (e.degree == f.degree and is_prime(e.degree) and e != f)
@@ -88,35 +80,47 @@ def thm1_2_applies(e: AbelianField, f: AbelianField) -> bool:
     return gcd(e.degree, f.degree) == 1
 
 
-def pair_modulus(pi: GalHeckeChar, pi_prime: GalHeckeChar) -> int:
-    return lcm(pi.field.modulus, pi_prime.field.modulus)
-
-
 class RsCoeffSource:
     """Streaming convolution coefficients a(p^k), vectorized over primes.
 
     A fiber sums to [E:Q] chi_0(n) 1[n in H_E] (`split_classes`), so a(p^k)
     = `scale` xi(p^k) 1_H(p^k) p^{i k tau0} with `scale` = [E:Q][F:Q], xi =
     chi_0 conj(psi_0) and H = H_E cap H_F mod the common modulus M, the
-    classes `support`.  Untwisted, a(p^k) is `_table` at p^k mod M: scale
-    zeta_N^e on H, e from xi's integer `exponents` on its primitive level
-    N, and an exact 0 off H for every k.  The primes dividing M, the
-    ramified ones, are excluded from every sum.
+    classes `support`.  chi_0 and psi_0 are the first extensions of omega
+    and omega' (`extensions(...)[0]`).  Untwisted, a(p^k) is `_table` at
+    p^k mod M: scale zeta_N^e on H, e from xi's integer `exponents` on its
+    primitive level N, and an exact 0 off H for every k.  The primes
+    dividing M, the ramified ones, are excluded from every sum.
+
+    The pole count |T| is read from the same table, by orthogonality on H:
+    `multiplicity` = [E:Q][F:Q] |H| / phi(M) = [E cap F:Q] when xi is 1 on
+    H, and 0 otherwise.  The fibers are the cosets chi_0 A_E and psi_0 A_F
+    of the characters trivial on H_E and on H_F.  They share a character
+    exactly when xi lies in A_E A_F, the characters trivial on H, and then
+    meet in a coset of A_E cap A_F, the characters of Gal(E cap F / Q); by
+    the Galois correspondence for abelian fields (Washington, *Introduction
+    to Cyclotomic Fields*, ch. 3) [EF:Q] = phi(M) / |H|, so that coset has
+    [E:Q][F:Q] / [EF:Q] members.
     """
 
     def __init__(self, pi: GalHeckeChar, pi_prime: GalHeckeChar):
         self.pi = pi
         self.pi_prime = pi_prime
-        self.pair_set = twisted_pairs(pi, pi_prime)
-        self.multiplicity = self.pair_set.size
         self.tau0 = (pi.tau - pi_prime.tau)
-        self.modulus = pair_modulus(pi, pi_prime)
+        self.modulus = lcm(pi.field.modulus, pi_prime.field.modulus)
         self.support = split_classes(pi.field, pi_prime.field, self.modulus)
         self.scale = pi.field.degree * pi_prime.field.degree
-        xi = self.pair_set.fiber_left[0][0] * \
-            self.pair_set.fiber_right[0][0].conjugate()
+        chi_0 = extensions(pi.omega, pi.field.ambient)[0]
+        psi_0 = extensions(pi_prime.omega, pi_prime.field.ambient)[0]
+        xi = chi_0 * psi_0.conjugate()
         self.exponents = xi.exponents_at(np.arange(self.modulus))
         on = list(self.support)
+        count, rest = divmod(self.scale * len(on), euler_phi(self.modulus))
+        if rest:
+            raise ArithmeticError(
+                f"[E:Q][F:Q] |H| = {self.scale * len(on)} is not a multiple "
+                f"of phi({self.modulus})")
+        self.multiplicity = 0 if self.exponents[on].any() else count
         roots = _roots_of_unity(xi.primitive().group.exponent)
         self._table = np.zeros(self.modulus, dtype=np.complex128)
         self._table[on] = self.scale * roots[self.exponents[on]]

@@ -37,15 +37,8 @@ class FiberGroup:
             n *= o
         return n
 
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return tuple([0] * len(self.orders))
-
     def elements(self) -> list[tuple[int, ...]]:
         return list(iter_product(*[range(o) for o in self.orders]))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
 
     def sub(self, a, b) -> tuple[int, ...]:
         return tuple((x - y) % o for x, y, o in zip(a, b, self.orders))

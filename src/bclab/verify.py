@@ -32,7 +32,6 @@ from .automorphic import (
 )
 from .rankin_selberg import (
     RsCoeffSource,
-    pole_multiplicity,
     thm1_1_applies,
     thm1_2_applies,
     twist_absorption_check,
@@ -185,10 +184,10 @@ def check_dihedral_multiplicity(limit: int = 10_000_000, checkpoints=None
     """Self-pair of the restricted quartic character: two poles, psi ~ 2x."""
     e = _sqrt5_field()
     pi = base_change(_theta(), e)
-    m, tau0 = pole_multiplicity(pi, pi)
+    source = RsCoeffSource(pi, pi)
+    m, tau0 = source.multiplicity, source.tau0
     if m != 2 or tau0 != 0.0:
         return False, f"expected (m, tau0) = (2, 0.0), got ({m}, {tau0})"
-    source = RsCoeffSource(pi, pi)
     report = psi_sum(source, limit, checkpoints=checkpoints)
     final = report.psi[-1].real / limit
     ok_val = abs(final - 2) <= 0.02
@@ -205,10 +204,10 @@ def check_empty_pairing(limit: int = 10_000_000, checkpoints=None
     e = _sqrt5_field()
     pi = trivial_over(e)
     pi_prime = base_change(_theta(), e)
-    m, _ = pole_multiplicity(pi, pi_prime)
+    source = RsCoeffSource(pi, pi_prime)
+    m = source.multiplicity
     if m != 0:
         return False, f"expected empty pairing, got {m} pairs"
-    source = RsCoeffSource(pi, pi_prime)
     report = psi_sum(source, limit, checkpoints=checkpoints)
     ratio = abs(report.psi[-1]) / limit
     return ratio <= 0.02, f"|psi(x)|/x = {ratio:.5f}"
@@ -219,10 +218,10 @@ def check_nonzero_twist(limit: int = 10_000_000, checkpoints=None
     """A unitary twist moves the pole to 1 + i tau0 with the matching term."""
     pi = trivial_over(_sqrt5_field(), tau=0.5)
     pi_prime = trivial_over(make_field(4, []))
-    m, tau0 = pole_multiplicity(pi, pi_prime)
+    source = RsCoeffSource(pi, pi_prime)
+    m, tau0 = source.multiplicity, source.tau0
     if m != 1 or abs(tau0 - 0.5) > 1e-12:
         return False, f"expected (1, 0.5), got ({m}, {tau0})"
-    source = RsCoeffSource(pi, pi_prime)
     report = psi_sum(source, limit, checkpoints=checkpoints)
     predicted = predicted_main_term(1, 0.5, limit)
     ratio = abs(report.psi[-1] - predicted) / limit

@@ -10,8 +10,9 @@ every element of H, tower labels by structural keys.  The subgroup
 lattice grows by closures of one more unit (`all_subgroups_oracle`), each
 tower step takes the least of all index-q overgroups (`tower_oracle`), and
 restriction classes bucket the dual group one `group_exponent` at a time
-(`restriction_classes_oracle`).  The tests compare the library's kernels
-against them.
+(`restriction_classes_oracle`).  The dual group is enumerated here, one
+character per exponent vector on the generators (`dual_characters`).  The
+tests compare the library's kernels against them.
 
 The array kernel `DirichletChar.exponents_at` has its per-integer
 reference here too: `twist_absorption_per_prime` calls the scalar
@@ -20,6 +21,10 @@ reference here too: `twist_absorption_per_prime` calls the scalar
 `coeff_data_over_e_per_call` and `coeff_angles_over_q_per_call` are the
 local coefficients of criterion 1's identity computed afresh at every
 prime power, where the library reads them from a memo per residue.
+
+`splitting_oracle` reads a prime's residue degree and prime count from
+cosets of the field's subgroup and the prime's inertia group at the
+conductor, with no reduction to the part of the conductor away from p.
 
 `local_dlog_table_loop` builds a local discrete-log table one `pow` per
 unit, in the order the library's vectorised table must keep.
@@ -48,7 +53,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from bclab.characters import DirichletChar, dual_group, factorize
+from bclab.automorphic import bc_fiber
+from bclab.characters import DirichletChar, factorize
 from bclab.fields import order_mod_subgroup
 from bclab import pnt
 from bclab.pnt import PrimePowerStream
@@ -290,6 +296,14 @@ def fiber_residue_table_loop(fiber, modulus):
     return table
 
 
+@lru_cache(maxsize=None)
+def dual_characters(group):
+    """Every character of the unit group, one per exponent vector on its
+    generators, the last generator fastest; shared, not to be mutated."""
+    return tuple(DirichletChar(group, vec) for vec in
+                 iter_product(*[range(o) for _, o in group.generators]))
+
+
 def closure_bfs(m, elements):
     """Subgroup of (Z/mZ)^x generated by the given units."""
     gens = [u % m for u in elements]
@@ -338,7 +352,7 @@ def restriction_classes_oracle(group, elements):
     the characters inside each, in the dual group's order."""
     gens = subgroup_generators_oracle(group, elements)
     buckets = {}
-    for chi in dual_group(group):
+    for chi in dual_characters(group):
         key = tuple(chi.group_exponent(h) for h in gens)
         buckets.setdefault(key, []).append(chi)
     return tuple(gens), list(buckets.items())
@@ -354,7 +368,7 @@ def subgroup_characters_oracle(group, elements):
     first occurrence kept."""
     sub = closure_bfs(group.modulus, elements)
     seen = {}
-    for chi in dual_group(group):
+    for chi in dual_characters(group):
         angles = {u: _group_angle(chi, u) for u in sub}
         seen.setdefault(tuple(sorted(angles.items())), angles)
     return list(seen.values())
@@ -387,7 +401,7 @@ def restrict_char_oracle(chi, elements):
 
 def extensions_oracle(omega, group):
     """Every character of the group agreeing with omega on all of H."""
-    return [chi for chi in dual_group(group)
+    return [chi for chi in dual_characters(group)
             if all(_group_angle(chi, u) == omega.angle(u)
                    for u in omega.elements)]
 
@@ -398,6 +412,26 @@ def _coset_order(m, subgroup, x):
         cur = cur * x % m
         k += 1
     return k
+
+
+def splitting_oracle(field, p):
+    """(f_p, g_p, ramified) of the prime p in the field, from cosets at its
+    conductor c: H is the image of the field's subgroup mod c, I the units
+    = 1 mod c / p^a (p^a || c, the inertia group of p), e = |HI| / |H|,
+    f_p the order mod HI of the unit that is p mod c / p^a and 1 mod p^a,
+    and g_p = [E:Q] / (e f_p)."""
+    c = field.conductor
+    p_part = 1
+    while c % (p_part * p) == 0:
+        p_part *= p
+    away = c // p_part
+    units = [u for u in range(c) if gcd(u, c) == 1]
+    h = {u % c for u in field.subgroup}
+    hi = closure_bfs(c, list(h) + [u for u in units if u % away == 1 % away])
+    frob = next(x for x in range(c)
+                if x % away == p % away and x % p_part == 1 % p_part)
+    f_p = _coset_order(c, hi, frob)
+    return f_p, field.degree * len(h) // (len(hi) * f_p), p_part > 1
 
 
 def tower_oracle(field):
@@ -431,7 +465,7 @@ def fiber_tower_labels_oracle(pi, fiber):
     group = field.ambient
     chain = [field.subgroup] + tower_oracle(field)
     degrees = [len(chain[a + 1]) // len(chain[a]) for a in range(len(chain) - 1)]
-    ann_chars = [[chi for chi in dual_group(group)
+    ann_chars = [[chi for chi in dual_characters(group)
                   if all(chi.group_exponent(h) == 0 for h in sub)]
                  for sub in chain]
     ann_keys = [{chi.key for chi in chars} for chars in ann_chars]
@@ -453,7 +487,7 @@ def fiber_tower_labels_oracle(pi, fiber):
                      if (delta * _power(basis[a], -t)).key in ann_keys[a + 1])
             vec.append(t)
             delta = delta * _power(basis[a], -t)
-        assert delta.is_trivial
+        assert delta.order == 1
         labels[i] = tuple(vec)
     return tuple(degrees), labels
 
@@ -536,7 +570,7 @@ class DirichletSource:
                  multiplicity: int | None = None):
         self.chi = chi
         self.tau = float(tau)
-        self.multiplicity = (1 if chi.is_trivial else 0) \
+        self.multiplicity = (1 if chi.order == 1 else 0) \
             if multiplicity is None else multiplicity
         self.tau0 = self.tau
         m = chi.conductor if modulus is None else modulus
@@ -555,18 +589,17 @@ class DirichletSource:
 
 class MemoisedRsSource:
     """a(p^k) of an `RsCoeffSource`'s pair as the product of its two fiber
-    sums, from residue tables of every fiber character built afresh from
-    the pair set (`fiber_residue_table_loop`), with the product table of
-    each exponent k memoised on first use."""
+    sums, from residue tables of every character of both fibers
+    (`bc_fiber` of each member) built afresh (`fiber_residue_table_loop`),
+    with the product table of each exponent k memoised on first use."""
 
     def __init__(self, source):
         self.modulus = source.modulus
         self.support = source.support
         self.tau0 = source.tau0
         self._left, self._right = (
-            fiber_residue_table_loop(fiber, self.modulus)
-            for fiber in (source.pair_set.fiber_left,
-                          source.pair_set.fiber_right))
+            fiber_residue_table_loop(bc_fiber(pi), self.modulus)
+            for pi in (source.pi, source.pi_prime))
         self._products = {}
 
     def _product(self, k):

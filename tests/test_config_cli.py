@@ -114,7 +114,7 @@ def test_config_builds_objects():
     cfg = parse_config(THM11.read_text())
     assert cfg.field_e().degree == 2
     assert cfg.field_f().degree == 2
-    assert cfg.pi().omega.is_trivial
+    assert cfg.pi().omega.order == 1
     assert cfg.pi_prime().tau == 0.0
 
 

@@ -8,11 +8,17 @@ from bclab.fields import (
     fields_up_to_conductor,
     make_field,
     order_mod_subgroup,
-    splitting_data,
     splitting_table,
     tower,
 )
-from oracles import tower_oracle
+from oracles import splitting_oracle, tower_oracle
+
+
+def split_at(field, p):
+    """The row of the prime p in the field's splitting table."""
+    row = splitting_table(field, p)[-1]
+    assert row.p == p
+    return row
 
 
 def test_quadratic_field_mod_5():
@@ -50,32 +56,26 @@ def test_conductor_drops_redundant_modulus():
 
 def test_splitting_examples():
     e = make_field(5, [4])
-    s11 = splitting_data(e, 11)
+    s11 = split_at(e, 11)
     assert (s11.f_p, s11.g_p, s11.ramified) == (1, 2, False)
-    s2 = splitting_data(e, 2)
+    s2 = split_at(e, 2)
     assert (s2.f_p, s2.g_p, s2.ramified) == (2, 1, False)
-    s5 = splitting_data(e, 5)
+    s5 = split_at(e, 5)
     assert s5.ramified
-
-
-def test_splitting_rejects_composite():
-    with pytest.raises(ValueError):
-        splitting_data(make_field(5, [4]), 6)
 
 
 def test_splitting_fg_product_sweep():
     # f_p * g_p = degree for every unramified p, all fields of conductor <= 60
-    primes = [p for p in range(2, 10_001) if is_prime(p)]
     for field in fields_up_to_conductor(60):
         cond = field.conductor
         # f_p depends only on p mod conductor: precompute per residue class
         by_class = {}
-        for p in primes:
+        for data in splitting_table(field, 10_000):
+            p = data.p
             if cond % p == 0:
-                assert splitting_data(field, p).ramified
+                assert data.ramified
                 continue
             r = p % cond
-            data = splitting_data(field, p)
             assert data.f_p * data.g_p == field.degree
             if r in by_class:
                 assert by_class[r] == (data.f_p, data.g_p)
@@ -89,14 +89,14 @@ def test_splitting_at_prime_dividing_redundant_modulus():
     # Q(sqrt 5) carried at modulus 20: 2 divides the modulus but not the
     # conductor, so it is honestly unramified with the mod-5 splitting
     e20 = make_field(20, [9, 11])
-    data = splitting_data(e20, 2)
+    data = split_at(e20, 2)
     assert (data.f_p, data.g_p, data.ramified) == (2, 1, False)
 
 
 def test_ramified_splitting_reports_unramified_part():
     # 2 in the 20th cyclotomic field: e = 2, f = ord(2 mod 5) = 4, g = 1
     e20 = make_field(20, [])
-    data = splitting_data(e20, 2)
+    data = split_at(e20, 2)
     assert data.ramified
     assert (data.f_p, data.g_p) == (4, 1)
     # e * f * g recovers the degree
@@ -106,7 +106,7 @@ def test_ramified_splitting_reports_unramified_part():
 def test_split_iff_residue_in_subgroup():
     e = make_field(7, [6])  # cubic field of conductor 7
     for p in (2, 3, 5, 11, 13, 29, 43):
-        data = splitting_data(e, p)
+        data = split_at(e, p)
         assert (data.f_p == 1) == (p % 7 in e.subgroup)
 
 
@@ -195,14 +195,15 @@ def test_tower_invariants(m, data):
             assert bigger.subgroup <= smaller.subgroup
 
 
-def test_splitting_table_matches_splitting_data():
+def test_splitting_table_matches_coset_orders():
     # fields at their conductor and at redundant moduli, ramified primes too
     primes = [p for p in range(2, 201) if is_prime(p)]
     fields = fields_up_to_conductor(24) + [make_field(20, [9, 11]),
                                            make_field(60, [7, 11])]
     for field in fields:
         rows = splitting_table(field, 200)
-        assert rows == [splitting_data(field, p) for p in primes]
+        assert [(r.p, r.f_p, r.g_p, r.ramified) for r in rows] == \
+            [(p, *splitting_oracle(field, p)) for p in primes]
         assert any(r.ramified for r in rows) == (field.conductor > 1)
 
 

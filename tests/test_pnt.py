@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from bclab.characters import DirichletChar, trivial_char, unit_group
 from bclab.fields import make_field
-from bclab.automorphic import base_change, trivial_over
+from bclab.automorphic import base_change, bc_fiber, trivial_over
 from bclab.config import parse_config
 from bclab.rankin_selberg import RsCoeffSource
 from bclab import pnt
@@ -1030,8 +1030,8 @@ def test_linearity_against_per_character_sums(spec_e, spec_f):
     x = 30_000
     combined = psi_sum(src, x, checkpoints=[x]).psi[-1]
     total = 0j
-    for chi, _ in src.pair_set.fiber_left:
-        for psi_char, _ in src.pair_set.fiber_right:
+    for chi, _ in bc_fiber(pi):
+        for psi_char, _ in bc_fiber(pip):
             factor = chi * psi_char.conjugate()
             part = psi_sum(DirichletSource(factor, modulus=src.modulus,
                                            multiplicity=0),

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,12 +23,10 @@ from bclab.cyclotomic import RootContext
 from bclab.fields import compositum, fields_up_to_conductor, make_field
 from bclab.automorphic import (TWIST_TOL, GalHeckeChar, base_change, bc_fiber,
                                trivial_over)
-from bclab import pnt
+from bclab import cli, pnt, rankin_selberg
 from bclab.pnt import PrimePowerStream, prime_powers, psi_sum, sieve_primes
 from bclab.rankin_selberg import (
     RsCoeffSource,
-    pole_multiplicity,
-    pair_modulus,
     thm1_1_applies,
     thm1_2_applies,
     twist_absorption_check,
@@ -64,8 +63,8 @@ def test_trivial_pair_of_distinct_quadratics():
     assert t.size == 1
     assert t.tau0 == 0.0
     i, j = t.pairs[0]
-    assert t.fiber_left[i][0].is_trivial
-    assert t.fiber_right[j][0].is_trivial
+    assert t.fiber_left[i][0] == trivial_char()
+    assert t.fiber_right[j][0] == trivial_char()
 
 
 def test_self_pair_of_restricted_quartic():
@@ -89,11 +88,16 @@ def test_twist_bookkeeping():
 
 
 def test_pole_multiplicity_examples():
-    assert pole_multiplicity(trivial_over(sqrt5()),
-                             trivial_over(gaussian()))[0] == 1
+    def poles(pi, pi_prime):
+        src = RsCoeffSource(pi, pi_prime)
+        return src.multiplicity, src.tau0
+
     pi = base_change(theta(), sqrt5())
-    assert pole_multiplicity(pi, pi) == (2, 0.0)
-    assert pole_multiplicity(trivial_over(sqrt5()), pi) == (0, None)
+    assert poles(trivial_over(sqrt5()), trivial_over(gaussian())) == (1, 0.0)
+    assert poles(pi, pi) == (2, 0.0)
+    assert poles(trivial_over(sqrt5()), pi)[0] == 0
+    assert poles(trivial_over(sqrt5(), tau=0.5),
+                 trivial_over(gaussian())) == (1, 0.5)
 
 
 def test_theorem_flags():
@@ -141,7 +145,8 @@ def test_rs_zeta_square():
 
 def test_ramified_primes_of_pair():
     # the excluded primes are those dividing the pair's modulus
-    modulus = pair_modulus(trivial_over(sqrt5()), trivial_over(gaussian()))
+    modulus = RsCoeffSource(trivial_over(sqrt5()),
+                            trivial_over(gaussian())).modulus
     assert {p for p, _ in factorize(modulus)} == {2, 5}
 
 
@@ -478,8 +483,9 @@ def test_fiber_sums_are_one_character_on_h_exactly():
 
 def test_pole_count_is_orthogonality_of_one_character_on_h():
     # |T| = [E:Q][F:Q] |H| / phi(M) = [E cap F:Q] when chi_0 conj(psi_0) is
-    # 1 on H, else 0, in integers from the source's exponent table: every
-    # ordered pair of configs of conductor <= 24, then seeded bound-60 pairs
+    # 1 on H, else 0, in integers from the source's exponent table, and it
+    # is the size of the fibers' key intersection: every ordered pair of
+    # configs of conductor <= 24, then seeded bound-60 pairs
     objects = [GalHeckeChar(field, omega)
                for field in fields_up_to_conductor(24)
                for omega in subgroup_characters(field.ambient, field.subgroup)]
@@ -491,7 +497,8 @@ def test_pole_count_is_orthogonality_of_one_character_on_h():
         count, rest = divmod(src.scale * len(on), euler_phi(src.modulus))
         assert rest == 0
         want = 0 if src.exponents[on].any() else count
-        assert src.multiplicity == want, (pi, pi_prime)
+        assert src.multiplicity == want == twisted_pairs(pi, pi_prime).size, \
+            (pi, pi_prime)
         if i < len(pairs):
             histogram[want] += 1
     assert sorted(histogram.items()) == [
@@ -537,11 +544,38 @@ def test_real_pairs_of_the_pnt_batch_population_have_real_psi(monkeypatch):
     real = 0
     for pi, pi_prime, _, _ in items:
         src = RsCoeffSource(pi, pi_prime)
-        xi = src.pair_set.fiber_left[0][0] * \
-            src.pair_set.fiber_right[0][0].conjugate()
+        xi = bc_fiber(src.pi)[0][0] * bc_fiber(src.pi_prime)[0][0].conjugate()
         level = xi.primitive().group.exponent
         if src.tau0 or np.any(2 * src.exponents[list(src.support)] % level):
             continue
         real += 1
         assert all(z.imag == 0.0 for z in psi_sum(src, 10**6).psi)
     assert real >= 4
+
+
+def test_sources_and_pnt_reports_need_no_fiber_pairing(monkeypatch, tmp_path):
+    # the pole count comes from the source's own table: with twisted_pairs
+    # raising, the four config sources build with the same multiplicity,
+    # and `bclab pnt` writes the same report and trace for each config
+    names = ("thm11", "dihedral", "empty_t", "twist")
+
+    def run_pnt(name, tag):
+        out, csv = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        assert cli.main(["pnt", "--config", str(THM11.parent / f"{name}.cfg"),
+                         "--limit", "1e5", "--out", str(out),
+                         "--csv", str(csv)]) == 0
+        payload = json.loads(out.read_text())
+        payload.pop("generated_at")
+        return payload, csv.read_text()
+
+    pairs = support_pairs(0, seed=0)
+    sizes = [twisted_pairs(pi, pi_prime).size for pi, pi_prime in pairs]
+    want = [run_pnt(name, "paired") for name in names]
+
+    def no_pairing(*args):
+        raise AssertionError("twisted_pairs called")
+
+    monkeypatch.setattr(rankin_selberg, "twisted_pairs", no_pairing)
+    assert [RsCoeffSource(pi, pi_prime).multiplicity
+            for pi, pi_prime in pairs] == sizes == [1, 2, 0, 1]
+    assert [run_pnt(name, "fiberless") for name in names] == want

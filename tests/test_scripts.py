@@ -53,6 +53,25 @@ def test_scripts_run_on_small_inputs(tmp_path):
     assert forked["children_minor_faults"] > 0
 
 
+def test_sweep_reports_a_wrong_pole_count(monkeypatch, capsys):
+    # a source whose orthogonality count is off by one on every pair is
+    # caught by the comparison with the fiber keys
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    import sweep_twisted_pairs as sweep
+
+    class OffByOne(sweep.RsCoeffSource):
+        def __init__(self, pi, pi_prime):
+            super().__init__(pi, pi_prime)
+            self.multiplicity += 1
+
+    monkeypatch.setattr(sweep, "RsCoeffSource", OffByOne)
+    monkeypatch.setattr("sys.argv", ["sweep_twisted_pairs.py", "--bound", "5"])
+    sweep.main()
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out
+    assert "0 mismatches" not in out
+
+
 @pytest.fixture
 def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "scripts"))
