@@ -18,7 +18,6 @@ from .fields import (
     SplittingData,
     compositum,
     make_field,
-    tower,
 )
 from .automorphic import (
     GalHeckeChar,

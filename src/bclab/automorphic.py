@@ -74,9 +74,6 @@ class GalHeckeChar:
         if self.omega.elements != self.field.subgroup:
             raise ValueError("omega is not a character of the field's subgroup")
 
-    def conjugate(self) -> "GalHeckeChar":
-        return GalHeckeChar(self.field, self.omega.conjugate(), -self.tau)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GalHeckeChar)
                 and other.field == self.field
@@ -129,28 +126,11 @@ def trivial_over(field: AbelianField, tau: float = 0.0) -> GalHeckeChar:
     return GalHeckeChar(field, omega, float(tau))
 
 
-def base_change(source, field: AbelianField, tau: float | None = None
+def base_change(chi: DirichletChar, field: AbelianField, tau: float = 0.0
                 ) -> GalHeckeChar:
-    """Restrict a twisted character to the subgroup fixing the target field.
-
-    Accepts either a DirichletChar over Q (optionally with tau) or an
-    existing GalHeckeChar over a subfield of the target.
-    """
-    if isinstance(source, GalHeckeChar):
-        if tau is not None:
-            raise ValueError("tau is carried by the source object")
-        if field.modulus % source.field.modulus != 0:
-            raise ValueError(
-                f"incompatible moduli: source mod {source.field.modulus}, "
-                f"target mod {field.modulus}"
-            )
-        if not field.subgroup <= source.field.lift_to(field.ambient).subgroup:
-            raise ValueError("target field is not an extension of the source's")
-        chi, tau = extensions(source.omega, source.field.ambient)[0], source.tau
-    else:
-        chi = source
+    """Restrict a twisted character over Q to the subgroup fixing the field."""
     omega = restrict_char(chi.lift_to(field.ambient), field.subgroup)
-    return GalHeckeChar(field, omega, float(tau or 0.0))
+    return GalHeckeChar(field, omega, float(tau or 0.0))  # -0.0 becomes 0.0
 
 
 def bc_fiber(pi: GalHeckeChar) -> list[tuple[DirichletChar, float]]:
@@ -168,18 +148,13 @@ def automorphic_induction(pi: GalHeckeChar) -> IsobaricSum:
     return IsobaricSum(bc_fiber(pi))
 
 
-def frobenius_degree(pi: GalHeckeChar, p: int) -> int:
-    """Order of p in Gal(E/Q); ValueError unless p is prime to the modulus."""
-    return order_mod_subgroup(pi.field.modulus, pi.field.subgroup, p)
-
-
 def _frobenius_entry(pi: GalHeckeChar, r: int) -> tuple[int, int, int] | None:
     """(f_p, a, N) with omega(p^{f_p}) = zeta_N^a for every p = r mod the
     modulus, or None when r is not a unit there."""
     m = pi.field.modulus
     if m > 1 and math.gcd(r, m) != 1:
         return None
-    f_p = frobenius_degree(pi, r)
+    f_p = order_mod_subgroup(m, pi.field.subgroup, r)
     frob = pow(r, f_p, m) if m > 1 else 0
     return (f_p, *pi.omega.value_exponent(frob))
 

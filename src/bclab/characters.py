@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd, isqrt, lcm, prod
-from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
@@ -593,33 +592,17 @@ class SubgroupChar:
     generators, and its values are read from the first character of the
     ambient group in that class.
 
-    `SubgroupChar(group, angles)` builds one from the rational angle of
-    every element of H, reduced mod 1.  It raises TypeError for an angle
-    that is not rational, and ValueError unless the angles are a
-    homomorphism on a subgroup.
+    The constructor takes H, the class's exponents and its first member as
+    `restrict_char` and `subgroup_characters` compute them, and checks
+    nothing; those two are the ways to get a character of H.
     """
 
     __slots__ = ("group", "elements", "exponents", "_member")
 
-    def __init__(self, group: UnitGroup, angles: dict[int, Fraction]):
-        m = group.modulus
-        for u, q in angles.items():
-            if not isinstance(q, Rational):
-                raise TypeError(f"angle {q!r} at {u} is not a rational number")
-        angles = {u % m: q % 1 for u, q in angles.items()}
-        elements = frozenset(angles)
-        if 1 % m not in elements:
-            raise ValueError("subgroup must contain 1")
-        gens, classes = _restriction_classes(group, elements)
-        key = [angles[h] * group.exponent for h in gens]
-        exponents = tuple(a.numerator for a in key)
-        bucket = (classes.get(exponents)
-                  if all(a.denominator == 1 for a in key) else None)
-        if bucket is None or any(bucket[0].angle(u) != q
-                                 for u, q in angles.items()):
-            raise ValueError(f"values are not a homomorphism on H mod {m}")
+    def __init__(self, group: UnitGroup, elements: frozenset[int],
+                 exponents: tuple[int, ...], member: DirichletChar):
         self.group, self.elements, self.exponents = group, elements, exponents
-        self._member = bucket[0]
+        self._member = member
 
     @property
     def order(self) -> int:
@@ -639,9 +622,6 @@ class SubgroupChar:
     def angle(self, u: int) -> Fraction:
         return _angle(*self.value_exponent(u))
 
-    def conjugate(self) -> "SubgroupChar":
-        return restrict_char(self._member.conjugate(), self.elements)
-
     @property
     def key(self) -> tuple:
         return (self.group.modulus, self.elements, self.exponents)
@@ -657,17 +637,6 @@ class SubgroupChar:
                 f"|H|={len(self.elements)}, order {self.order})")
 
 
-def _subgroup_char(group: UnitGroup, elements: frozenset[int],
-                   exponents: tuple[int, ...], member: DirichletChar
-                   ) -> SubgroupChar:
-    """The character of H whose restriction class has these exponents and
-    this first member, unchecked."""
-    omega = object.__new__(SubgroupChar)
-    omega.group, omega.elements, omega.exponents = group, elements, exponents
-    omega._member = member
-    return omega
-
-
 def restrict_char(chi: DirichletChar, subgroup) -> SubgroupChar:
     """Restriction of chi to a subgroup H of its own unit group."""
     group = chi.group
@@ -675,7 +644,7 @@ def restrict_char(chi: DirichletChar, subgroup) -> SubgroupChar:
     elements = frozenset(u % m for u in subgroup) | {1 % m}
     gens, classes = _restriction_classes(group, elements)
     key = tuple(chi.group_exponent(h) for h in gens)
-    return _subgroup_char(group, elements, key, classes[key][0])
+    return SubgroupChar(group, elements, key, classes[key][0])
 
 
 def extensions(omega: SubgroupChar, group: UnitGroup) -> list[DirichletChar]:
@@ -703,7 +672,7 @@ def subgroup_characters(group: UnitGroup, elements) -> list[SubgroupChar]:
     """All |H| characters of the subgroup H, one per restriction class."""
     sub = closure(group, elements)
     _, classes = _restriction_classes(group, sub)
-    out = [_subgroup_char(group, sub, key, bucket[0])
+    out = [SubgroupChar(group, sub, key, bucket[0])
            for key, bucket in classes.items()]
     if len(out) != len(sub):
         raise ArithmeticError("dual of subgroup has the wrong size")

@@ -218,7 +218,7 @@ def cmd_rs(args) -> int:
 def cmd_count(args) -> int:
     from math import gcd
 
-    from .twist_counts import coprime_count, noncuspidal_orbit
+    from .twist_counts import coprime_count, noncuspidal_orbit_size
 
     for flag, degree in (("--l", args.l), ("--lprime", args.lprime)):
         if degree < 1:
@@ -233,8 +233,8 @@ def cmd_count(args) -> int:
     if args.s is not None or args.r is not None:
         if args.s is None or args.r is None:
             raise UsageError("provide both --s and --r for the orbit count")
-        orbit = noncuspidal_orbit(args.l, args.s, args.r, 0, 0)
-        payload["noncuspidal_orbit_size"] = len(orbit)
+        payload["noncuspidal_orbit_size"] = noncuspidal_orbit_size(
+            args.l, args.s, args.r)
     else:
         payload["noncuspidal_orbit_size"] = None
     _emit_json(payload, args.out)

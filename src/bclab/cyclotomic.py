@@ -15,11 +15,6 @@ from functools import lru_cache
 from typing import Iterable
 
 
-def normalize_angle(q: Fraction) -> Fraction:
-    """Canonical representative of q mod 1, in [0, 1)."""
-    return q % 1
-
-
 _QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0),
                   complex(-1.0, 0.0), complex(0.0, -1.0))
 
@@ -73,7 +68,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 def _off_level(angle: Fraction, level: int) -> ValueError:
-    return ValueError(f"angle {normalize_angle(angle)} does not live at "
+    return ValueError(f"angle {angle % 1} does not live at "
                       f"cyclotomic level {level}")
 
 

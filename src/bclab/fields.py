@@ -148,29 +148,19 @@ def compositum(e: AbelianField, f: AbelianField) -> AbelianField:
     return _field(g, he & hf)
 
 
-def tower(field: AbelianField) -> list[AbelianField]:
-    """Chain of proper subfields E > E_1 > ... > Q with prime-degree steps.
-
-    Each step ascends the subgroup chain through the largest remaining prime
-    factor q of the degree; among the index-q overgroups the one with the
-    lexicographically smallest sorted element tuple is taken, so output is
-    deterministic (`_tower_chain` finds it without listing the others).
-    """
-    return [_field(field.ambient, step)
-            for step in _tower_chain(field.ambient, field.subgroup)]
-
-
 def _tower_chain(group: UnitGroup, subgroup: frozenset[int]
                  ) -> list[frozenset[int]]:
-    """The subgroups of `tower`'s chain above H, ending at the whole group,
-    with no field built per step.
+    """The subgroups above H of the prime-degree tower E > E_1 > ... > Q,
+    ending at the whole group, with no field built per step.
 
-    The least index-q overgroup of H is <H, x> for the least unit x outside
-    H with x^q in H.  Every element of an index-q overgroup C outside H has
-    order q mod H, so neither C nor <H, x> holds an element outside H below
-    x.  If C holds x, it holds <H, x> and, of the same size, equals it; if
-    not, the sorted tuples first differ where <H, x> has x and C a larger
-    element.
+    Each step ascends through the largest remaining prime factor q of the
+    degree, to the index-q overgroup with the lexicographically smallest
+    sorted element tuple, so the chain is deterministic.  The least index-q
+    overgroup of H is <H, x> for the least unit x outside H with x^q in H.
+    Every element of an index-q overgroup C outside H has order q mod H, so
+    neither C nor <H, x> holds an element outside H below x.  If C holds x,
+    it holds <H, x> and, of the same size, equals it; if not, the sorted
+    tuples first differ where <H, x> has x and C a larger element.
     """
     m = group.modulus
     chain: list[frozenset[int]] = []

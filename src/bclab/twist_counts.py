@@ -7,16 +7,19 @@ members that occur in twisted pairs project (after translating by one of
 them) onto a subgroup, so the pair count divides both fiber orders, and
 coprime orders force a single pair.  The non-cuspidal self-twist relation
 instead generates an orbit of full prime length.
+
+The tower-coordinate cross-check agrees with the fiber count whenever it
+returns; it tests the tower frames and that the matched labels form a
+coset, not |T| itself (see `cross_check_pair_count`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
 from math import gcd
 
-from .characters import UnitGroup, _restriction_classes, conductor, is_prime
+from .characters import UnitGroup, _restriction_classes, is_prime
 
 
 class TwistPairingError(ValueError):
@@ -28,7 +31,6 @@ class FiberGroup:
     """Product of cyclic groups of the given prime orders, law componentwise."""
 
     orders: tuple[int, ...]
-    label: str = ""
 
     @property
     def order(self) -> int:
@@ -36,9 +38,6 @@ class FiberGroup:
         for o in self.orders:
             n *= o
         return n
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(iter_product(*[range(o) for o in self.orders]))
 
     def sub(self, a, b) -> tuple[int, ...]:
         return tuple((x - y) % o for x, y, o in zip(a, b, self.orders))
@@ -61,22 +60,23 @@ class PairSubgroup:
         return len(self.elements)
 
 
-def fiber_group(degrees, label: str = "") -> FiberGroup:
+def fiber_group(degrees) -> FiberGroup:
     degrees = tuple(int(d) for d in degrees)
     if not degrees:
         raise ValueError("a fiber group needs at least one cyclic factor")
     for d in degrees:
         if not is_prime(d):
             raise ValueError(f"tower step degrees must be prime, got {d}")
-    return FiberGroup(degrees, label)
+    return FiberGroup(degrees)
 
 
 def pair_subgroup(group: FiberGroup, pairs) -> PairSubgroup:
     """Verify a pairing set and return its normalized fiber-side projection.
 
     Each fiber element may occur in at most one pair (on either side);
-    the projection, translated by its first member, must be closed under
-    the componentwise law.  Violations raise TwistPairingError with the
+    the projection, translated by its least member, must be closed under
+    the componentwise law, and is then a subgroup, whose order divides the
+    group's (Lagrange).  Violations raise TwistPairingError with the
     offending elements named.
     """
     pairs = list(pairs)
@@ -108,10 +108,6 @@ def pair_subgroup(group: FiberGroup, pairs) -> PairSubgroup:
                     f"translated projection is not a subgroup: "
                     f"{a} - {b} escapes the set"
                 )
-    if group.order % len(translated) != 0:
-        raise TwistPairingError(
-            f"subgroup order {len(translated)} does not divide {group.order}"
-        )
     return PairSubgroup(group, translated)
 
 
@@ -125,14 +121,11 @@ def coprime_count(l: int, l_prime: int, t_nonempty: bool) -> int:
     return 1 if t_nonempty else 0
 
 
-def noncuspidal_orbit(l: int, s: int, r: int, i0: int, j0: int
-                      ) -> set[tuple[int, int]]:
-    """Orbit of a base pair under the self-twist relation of exponent (s, r).
-
-    Starting from a twisted pair (i0, j0), the relation produces
-    (i0 + t*s, j0 - t*r) for every t; since r is nonzero mod the prime l the
-    second coordinates are pairwise distinct, so the orbit has exactly l pairs.
-    """
+def noncuspidal_orbit_size(l: int, s: int, r: int) -> int:
+    """Number of pairs in every orbit of the self-twist relation of exponent
+    (s, r), without enumerating one: l, since the second coordinates
+    j0 - t*r are pairwise distinct for t mod the prime l.  Raises ValueError
+    for the arguments `noncuspidal_orbit` rejects, with the same messages."""
     if not is_prime(l):
         raise ValueError(f"orbit length must be prime, got {l}")
     if not 0 <= s < l:
@@ -144,6 +137,18 @@ def noncuspidal_orbit(l: int, s: int, r: int, i0: int, j0: int
         )
     if not 1 <= r < l:
         raise ValueError(f"r must be a nonzero residue mod {l}, got {r}")
+    return l
+
+
+def noncuspidal_orbit(l: int, s: int, r: int, i0: int, j0: int
+                      ) -> set[tuple[int, int]]:
+    """Orbit of a base pair under the self-twist relation of exponent (s, r).
+
+    Starting from a twisted pair (i0, j0), the relation produces
+    (i0 + t*s, j0 - t*r) for every t; since r is nonzero mod the prime l the
+    second coordinates are pairwise distinct, so the orbit has exactly l pairs.
+    """
+    noncuspidal_orbit_size(l, s, r)
     orbit = {((i0 + t * s) % l, (j0 - t * r) % l) for t in range(l)}
     if len(orbit) != l:
         raise ArithmeticError("orbit degenerated; this cannot happen for prime l")
@@ -200,8 +205,7 @@ def _tower_frame(group: UnitGroup, subgroup: frozenset[int]
                   for t, mult in enumerate(multiples)}
     if labels.keys() != ann_sets[0]:
         raise ArithmeticError("tower labels do not enumerate A_E")
-    cond = conductor(group, subgroup.__contains__)
-    return fiber_group(degrees, label=f"fiber over field cond {cond}"), labels
+    return fiber_group(degrees), labels
 
 
 def fiber_tower_labels(pi):
@@ -239,11 +243,15 @@ def fiber_tower_labels(pi):
 def cross_check_pair_count(pi, pi_prime, pairing=None) -> tuple[int, int]:
     """(structural |T|, symbolic subgroup order) for a pair of objects.
 
-    The structural count enumerates fiber matches; the symbolic one maps the
-    matched fiber elements into tower coordinates and measures the projected
-    subgroup.  The two must always agree.  A caller that already holds
-    `twisted_pairs(pi, pi_prime)` passes it as `pairing`; otherwise it is
-    computed here.
+    The structural count is the size of the pairing; the symbolic one maps
+    the matched fiber members of pi into tower coordinates and measures the
+    projected subgroup.  The two are equal whenever this returns, since the
+    labels of distinct members are distinct and translation is a bijection,
+    so the symbolic count is not yet an independent derivation.  The check
+    lies in what can raise: ArithmeticError when a fiber difference has no
+    label in the tower frame, TwistPairingError when the matched labels are
+    not a coset.  A caller that already holds `twisted_pairs(pi, pi_prime)`
+    passes it as `pairing`; otherwise it is computed here.
     """
     if pairing is None:
         from .rankin_selberg import twisted_pairs

@@ -4,8 +4,8 @@ Each one is written the slow, obvious way: unit groups with a full
 discrete-log table at the modulus, characters evaluated through Fraction
 angles with the conductor found by a divisor search (a field's conductor
 too, `field_conductor_oracle`), closures by breadth-first multiplication,
-subgroup characters as plain angle maps checked pairwise on every product
-in H, extensions by scanning the whole dual group and comparing angles on
+subgroup characters as plain angle maps restricted from the whole dual
+group, extensions by scanning the whole dual group and comparing angles on
 every element of H, tower labels by structural keys.  The subgroup
 lattice grows by closures of one more unit (`all_subgroups_oracle`), each
 tower step takes the least of all index-q overgroups (`tower_oracle`), and
@@ -372,23 +372,6 @@ def subgroup_characters_oracle(group, elements):
         angles = {u: _group_angle(chi, u) for u in sub}
         seen.setdefault(tuple(sorted(angles.items())), angles)
     return list(seen.values())
-
-
-def is_subgroup_char_oracle(group, angles):
-    """Whether the map {u: angle} is a homomorphism from a subgroup of
-    (Z/mZ)^x into the roots of unity: residues and angles reduced, 1 and
-    only units present, every product of two elements present, and the
-    angles adding up along every product."""
-    m = group.modulus
-    angles = {u % m: q % 1 for u, q in angles.items()}
-    if 1 % m not in angles or any(gcd(u, m) != 1 for u in angles):
-        return False
-    for a in angles:
-        for b in angles:
-            ab = a * b % m
-            if ab not in angles or (angles[a] + angles[b]) % 1 != angles[ab]:
-                return False
-    return True
 
 
 def restrict_char_oracle(chi, elements):

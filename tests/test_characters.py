@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from bclab.characters import (
     DirichletChar,
-    SubgroupChar,
     _local_group,
     _restriction_classes,
     _span,
@@ -32,7 +31,6 @@ from oracles import (
     dual_characters,
     extensions_oracle,
     field_conductor_oracle,
-    is_subgroup_char_oracle,
     local_dlog_table_loop,
     restrict_char_oracle,
     restriction_classes_oracle,
@@ -312,12 +310,6 @@ def test_restrict_rejects_non_closed_set():
         restrict_char(theta(), [2])  # {2} misses 4 = 2*2
 
 
-def test_subgroup_char_rejects_non_homomorphism():
-    g = unit_group(5)
-    with pytest.raises(ValueError, match="homomorphism"):
-        SubgroupChar(g, {1: Fraction(0), 4: Fraction(1, 3)})
-
-
 # ------------------------------------------------------------------ extension
 
 def test_extensions_of_trivial_on_index_two():
@@ -375,15 +367,6 @@ def test_restrict_char_matches_fraction_oracle():
                                for q in got.values())
 
 
-def test_subgroup_char_reduces_angles_mod_one():
-    g = unit_group(5)
-    for one, q in ((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(-1, 2)),
-                   (Fraction(2), Fraction(3, 2))):
-        omega = SubgroupChar(g, {1: one, 4: q})
-        assert angle_map(omega) == {1: 0, 4: Fraction(1, 2)}
-    assert SubgroupChar(g, {1: 0, 4: Fraction(1, 2)}).conjugate() == omega
-
-
 def test_closure_helper():
     g = unit_group(20)
     sub = closure(g, [3])
@@ -413,70 +396,32 @@ def test_extensions_return_a_fresh_list():
     assert len(extensions(omega, g)) == 2
 
 
-def _constructor_inputs(g):
-    """Angle maps to hand to SubgroupChar: every character of every subgroup,
-    each with one non-identity angle shifted by 1/N and by 1/(2N) (N the
-    group exponent), and maps on sets that are not subgroups."""
-    m, n = g.modulus, g.exponent
-    for sub in all_subgroups(g):
-        outside = [u for u in g.units if u not in sub]
-        for angles in subgroup_characters_oracle(g, sub):
-            yield angles
-            for u in sorted(sub - {1 % m}):
-                for shift in (Fraction(1, n), Fraction(1, 2 * n)):
-                    yield angles | {u: angles[u] + shift}
-            for u in sorted(sub - {1 % m})[:2]:
-                yield {v: q for v, q in angles.items() if v != u}
-            for u in outside[:3]:
-                yield angles | {u: Fraction(0)}
-            yield {v: q for v, q in angles.items() if v != 1 % m}
-    if m > 1:
-        yield {1: Fraction(0), 0: Fraction(0)}  # closed, but 0 is no unit
-
-
-def test_subgroup_char_accepts_exactly_the_oracle_homomorphisms():
-    accepted = rejected = 0
-    for m in range(1, 25):
-        g = unit_group(m)
-        for angles in _constructor_inputs(g):
-            if is_subgroup_char_oracle(g, angles):
-                omega = SubgroupChar(g, angles)
-                assert angle_map(omega) == {u: q % 1
-                                            for u, q in angles.items()}
-                accepted += 1
-            else:
-                with pytest.raises(ValueError):
-                    SubgroupChar(g, angles)
-                rejected += 1
-    assert accepted > 0 and rejected > accepted
-
-
 def test_subgroup_char_properties_match_angle_maps():
-    # every omega with m <= 40 against its angle map from the oracle
+    # every omega with m <= 40 against its angle map from the oracle; the
+    # same character restricted from its last extension is equal, hashes
+    # equal and finds omega's entry
     for m in range(1, 41):
         g = unit_group(m)
         index = {}
         maps = set()
+        again = []
         for sub in all_subgroups(g):
             omegas = subgroup_characters(g, sub)
             angle_maps = subgroup_characters_oracle(g, sub)
             for omega, angles in zip(omegas, angle_maps, strict=True):
                 frozen = frozenset(angles.items())
-                conj = {u: -q % 1 for u, q in angles.items()}
-                assert angle_map(omega.conjugate()) == conj
                 assert omega.order == lcm(*[q.denominator
                                             for q in angles.values()])
-                again = SubgroupChar(g, angles)
-                assert again == omega and hash(again) == hash(omega)
-                assert omega.conjugate() == SubgroupChar(g, conj)
+                same = restrict_char(extensions(omega, g)[-1], sub)
+                assert same == omega and hash(same) == hash(omega)
                 index[omega] = frozen
                 maps.add(frozen)
+                again.append((same, frozen))
             for a, qa in zip(omegas, angle_maps):
                 for b, qb in zip(omegas, angle_maps):
                     assert (a == b) == (qa == qb)
         assert len(index) == len(maps)
-        assert all(index[SubgroupChar(g, dict(frozen))] == frozen
-                   for frozen in maps)
+        assert all(index[same] == frozen for same, frozen in again)
 
 
 def test_subgroups_and_generators_match_closure_growth():
@@ -662,16 +607,6 @@ def test_exponents_at_keeps_the_array_shape():
     assert got.shape == (3, 4, 5)
     assert got.ravel().tolist() == _scalar_exponents(chi, ns.ravel().tolist())
     assert chi.exponents_at(7).tolist() == chi.primitive_exponent(7)
-
-
-@pytest.mark.parametrize("angles, message", [
-    ({1: 0.0, 4: 0.5}, "angle 0.0 at 1 "),
-    ({1: Fraction(0), 4: "1/2"}, "angle '1/2' at 4 "),
-    ({1: Fraction(0), 4: 1j}, "angle 1j at 4 "),
-])
-def test_subgroup_char_rejects_non_rational_angles(angles, message):
-    with pytest.raises(TypeError, match=message):
-        SubgroupChar(unit_group(5), angles)
 
 
 def test_subgroup_char_value_exponent_gives_its_angle():

@@ -134,6 +134,28 @@ def test_count_with_orbit(capsys):
     assert payload["noncuspidal_orbit_size"] == 5
 
 
+def test_count_reports_an_orbit_without_enumerating_it(monkeypatch, capsys):
+    # a billion-pair orbit must be sized, not built
+    def enumerate_orbit(*args):
+        raise AssertionError("the orbit was enumerated")
+
+    monkeypatch.setattr("bclab.twist_counts.noncuspidal_orbit",
+                        enumerate_orbit)
+    assert main(["count", "--l", "1000000007", "--lprime", "2", "--s", "0",
+                 "--r", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)[
+        "noncuspidal_orbit_size"] == 1000000007
+    # the orbit's own argument checks and messages still apply
+    for l, s, r, message in ((6, 0, 1, "must be prime"),
+                             (5, 5, 1, "s must be a residue"),
+                             (5, 2, 10, "vanishes mod 5"),
+                             (5, 2, 7, "r must be a nonzero residue")):
+        assert main(["count", "--l", str(l), "--lprime", "2", "--s", str(s),
+                     "--r", str(r)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 def test_rs_subcommand(capsys):
     assert main(["rs", "--config", str(THM11)]) == 0
     payload = json.loads(capsys.readouterr().out)

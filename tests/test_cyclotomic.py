@@ -9,7 +9,6 @@ from bclab.cyclotomic import (
     angle_to_complex,
     cyclotomic_polynomial,
     divisors,
-    normalize_angle,
 )
 
 
@@ -79,7 +78,7 @@ def test_cross_level_equality():
                           st.integers(min_value=-3, max_value=3)),
                 max_size=6))
 def test_vector_matches_float_evaluation(raw_terms):
-    terms = [(normalize_angle(Fraction(k, 24)), m) for k, m in raw_terms]
+    terms = [(Fraction(k, 24), m) for k, m in raw_terms]
     ctx = RootContext(24)
     vec = ctx.vector(terms)
     direct = sum(m * angle_to_complex(q) for q, m in terms)

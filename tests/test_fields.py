@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from bclab.characters import factorize, is_prime, unit_group
 from bclab.fields import (
     AbelianField,
+    _tower_chain,
     compositum,
     fields_up_to_conductor,
     make_field,
     order_mod_subgroup,
     splitting_table,
-    tower,
 )
 from oracles import splitting_oracle, tower_oracle
 
@@ -146,15 +146,21 @@ def test_compositum_coprime_conductors():
     assert compositum(e, f).degree == e.degree * f.degree
 
 
+def tower(field):
+    """The subgroups of the field's prime-degree tower above its own."""
+    return _tower_chain(field.ambient, field.subgroup)
+
+
 def step_degrees(field):
-    """Prime degree of each step of `tower(field)`, largest first."""
-    degrees = [field.degree] + [sub.degree for sub in tower(field)]
-    return [big // small for big, small in zip(degrees, degrees[1:])]
+    """Prime degree of each step of the field's tower, largest first."""
+    sizes = [len(field.subgroup)] + [len(sub) for sub in tower(field)]
+    return [big // small for small, big in zip(sizes, sizes[1:])]
 
 
 def test_tower_of_quintic_cyclotomic():
-    chain = tower(make_field(5, []))
-    assert [(f.degree, f.conductor) for f in chain] == [(2, 5), (1, 1)]
+    # Q(zeta_5) > Q(sqrt 5) > Q
+    assert tower(make_field(5, [])) == [frozenset({1, 4}),
+                                        frozenset({1, 2, 3, 4})]
     assert step_degrees(make_field(5, [])) == [2, 2]
 
 
@@ -163,8 +169,8 @@ def test_tower_of_rationals_is_empty():
 
 
 def test_tower_of_cubic_is_single_step():
-    chain = tower(make_field(7, [6]))
-    assert [f.degree for f in chain] == [1]
+    field = make_field(7, [6])
+    assert tower(field) == [frozenset(field.ambient.units)]
 
 
 def test_tower_takes_largest_prime_first():
@@ -190,9 +196,9 @@ def test_tower_invariants(m, data):
         prod *= q
     assert prod == max(field.degree, 1)
     if chain:
-        assert chain[-1].degree == 1
-        for bigger, smaller in zip([field] + chain, chain):
-            assert bigger.subgroup <= smaller.subgroup
+        assert chain[-1] == frozenset(g.units)
+        for smaller, bigger in zip([field.subgroup] + chain, chain):
+            assert smaller <= bigger
 
 
 def test_splitting_table_matches_coset_orders():
@@ -209,7 +215,7 @@ def test_splitting_table_matches_coset_orders():
 
 def test_tower_matches_coset_order_oracle():
     for field in fields_up_to_conductor(60):
-        assert [sub.subgroup for sub in tower(field)] == tower_oracle(field)
+        assert tower(field) == tower_oracle(field)
 
 
 def test_tower_of_lifted_presentations_matches_oracle():
@@ -217,8 +223,7 @@ def test_tower_of_lifted_presentations_matches_oracle():
     for field in fields_up_to_conductor(24):
         for k in (2, 3):
             lifted = field.lift_to(unit_group(k * field.modulus))
-            assert [sub.subgroup for sub in tower(lifted)] == \
-                tower_oracle(lifted)
+            assert tower(lifted) == tower_oracle(lifted)
 
 
 def same_as_checked(field):
@@ -229,12 +234,14 @@ def same_as_checked(field):
 
 
 def test_library_built_fields_match_the_checked_constructor():
-    # fields_up_to_conductor, tower, lift_to, compositum and make_field
-    # skip the closure check on subgroups they built themselves
+    # fields_up_to_conductor, lift_to, compositum and make_field skip the
+    # closure check on subgroups they built themselves; the tower chain's
+    # sets pass it too
     fields = fields_up_to_conductor(60)
     for field in fields:
         assert same_as_checked(field)
-        assert all(same_as_checked(sub) for sub in tower(field))
+        assert all(AbelianField(field.ambient, sub).subgroup == sub
+                   for sub in tower(field))
         assert same_as_checked(field.lift_to(unit_group(2 * field.modulus)))
         gens = [u for u in sorted(field.subgroup) if u != 1][:2]
         assert same_as_checked(make_field(field.modulus, gens))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from bclab.characters import euler_phi
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -54,8 +56,9 @@ def test_scripts_run_on_small_inputs(tmp_path):
 
 
 def test_sweep_reports_a_wrong_pole_count(monkeypatch, capsys):
-    # a source whose orthogonality count is off by one on every pair is
-    # caught by the comparison with the fiber keys
+    # a source whose orthogonality count is off by one on every pair, or
+    # one that skips the test of xi on H and so claims a pole on disjoint
+    # pairs too, is caught by the comparison with the fiber keys
     monkeypatch.syspath_prepend(str(REPO / "scripts"))
     import sweep_twisted_pairs as sweep
 
@@ -64,12 +67,19 @@ def test_sweep_reports_a_wrong_pole_count(monkeypatch, capsys):
             super().__init__(pi, pi_prime)
             self.multiplicity += 1
 
-    monkeypatch.setattr(sweep, "RsCoeffSource", OffByOne)
+    class PoleOnEveryPair(sweep.RsCoeffSource):
+        def __init__(self, pi, pi_prime):
+            super().__init__(pi, pi_prime)
+            self.multiplicity = (self.scale * len(self.support)
+                                 // euler_phi(self.modulus))
+
     monkeypatch.setattr("sys.argv", ["sweep_twisted_pairs.py", "--bound", "5"])
-    sweep.main()
-    out = capsys.readouterr().out
-    assert "MISMATCH" in out
-    assert "0 mismatches" not in out
+    for wrong in (OffByOne, PoleOnEveryPair):
+        monkeypatch.setattr(sweep, "RsCoeffSource", wrong)
+        sweep.main()
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out
+        assert "0 mismatches" not in out
 
 
 @pytest.fixture

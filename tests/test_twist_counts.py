@@ -16,6 +16,7 @@ from bclab.twist_counts import (
     fiber_group,
     fiber_tower_labels,
     noncuspidal_orbit,
+    noncuspidal_orbit_size,
     pair_subgroup,
 )
 from oracles import extensions_oracle, fiber_tower_labels_oracle
@@ -39,7 +40,10 @@ def test_fiber_group_rejects_empty_and_composite():
 def test_group_law():
     g = fiber_group((2, 3))
     assert g.sub((0, 0), (1, 1)) == (1, 2)
-    assert len(g.elements()) == 6
+    elements = list(product(range(2), range(3)))
+    assert all(g.contains(a) for a in elements)
+    assert all(g.sub(a, b) in elements for a in elements for b in elements)
+    assert not g.contains((2, 0)) and not g.contains((0,))
 
 
 # -------------------------------------------------------------- pair subgroup
@@ -149,13 +153,16 @@ def test_orbit_sizes_exhaustive_small_primes():
         for s in range(l):
             for r in range(1, l):
                 assert len(noncuspidal_orbit(l, s, r, 0, 0)) == l
+                assert noncuspidal_orbit_size(l, s, r) == l
 
 
 def test_orbit_rejects_trivial_relation():
-    with pytest.raises(ValueError, match="nontrivial"):
-        noncuspidal_orbit(5, 2, 0, 0, 0)
-    with pytest.raises(ValueError):
-        noncuspidal_orbit(5, 2, 5, 0, 0)
+    for orbit in (lambda l, s, r: noncuspidal_orbit(l, s, r, 0, 0),
+                  noncuspidal_orbit_size):
+        with pytest.raises(ValueError, match="nontrivial"):
+            orbit(5, 2, 0)
+        with pytest.raises(ValueError):
+            orbit(5, 2, 5)
 
 
 # ------------------------------------------------------- tower label bridge
@@ -164,7 +171,7 @@ def test_labels_enumerate_the_full_fiber():
     pi = trivial_over(make_field(5, []))
     fg, labels = fiber_tower_labels(pi)
     assert fg.orders == (2, 2)
-    assert sorted(labels.values()) == sorted(fg.elements())
+    assert sorted(labels.values()) == list(product(*map(range, fg.orders)))
 
 
 def test_labels_rejected_over_rationals():
